@@ -6,22 +6,30 @@ labels induced by removing it, with width lambda(X)+1, and the width of
 the decomposition is the maximum over edges.  Branch-width is the minimum
 width over all decompositions.
 
-branch_width_exact runs the subset dynamic program
+branch_width_exact runs the dynamic program
 
     g(X) = lambda(X)+1                                 for |X| = 1
     g(X) = max(lambda(X)+1,
                min over bipartitions {A,B} of X of max(g(A), g(B)))
 
-whose top value g(E) is the branch-width; an optimal decomposition is
-reconstructed from the stored splits.  The partition sweep costs Theta(3^n),
-so the exact path is budgeted at n <= 18.
+whose top value g(E) is the branch-width.  lambda and g depend only on
+how many elements of each clonal class X holds, so the program runs on
+count vectors (orbits.OrbitSpace): a split of state x is a state a <= x
+with complement x - a, and an optimal decomposition is rebuilt by
+handing each side the first elements of every class.  The work is the
+number of split pairs, prod over classes of C(s_c+2, 2); without clones
+that is 3^n and the states are the 2^n masks.  The budget is stated in
+that work: budget=b allows as many pairs as an n = b clone-free matroid,
+so t-expansions run far beyond 18 elements: fig2_M^4 has n = 36 but
+three classes of 12, hence 91^3 (under 3^13) pairs.
 
 Beyond the budget, a width is certified: an explicit decomposition gives
 the upper bound, and a verified tangle of order k gives the lower bound k
 (the maximum order of a tangle equals the branch-width).  Tangle axioms
-over families like {X : r(X) < c} are verified by vectorized full-table
-scans; the three-sets axiom (T3) reduces to pairs of maximal members plus
-a "some member contains the remainder" table.
+over the families {X : r(X) < c} are verified by vectorized scans over
+the count-vector states; the three-sets axiom (T3) reduces to pairs of
+maximal member states x, y whose remainder max(0, s - x - y) lies in a
+member.  Explicit member lists are checked on the 2^n masks.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import GroundSet, Matroid, popcount
+from .core import GroundSet, Matroid
 from .errors import (
     BudgetExceeded,
     InvalidTangle,
@@ -40,6 +48,7 @@ from .errors import (
 )
 from .connectivity import flats_cover
 from .expansion import ExpansionMap
+from .orbits import OrbitSpace
 
 DP_BUDGET = 18
 TANGLE_BUDGET = 20
@@ -212,32 +221,48 @@ def decomposition_width(M: Matroid, D: BranchDecomposition) -> int:
 
 def branch_width_exact(M: Matroid, budget: int = DP_BUDGET
                        ) -> Tuple[int, BranchDecomposition]:
-    """Optimal width and a realizing decomposition, by subset DP."""
+    """Optimal width and a realizing decomposition, by count-vector DP."""
     n = M.ground.n
-    if n > min(budget, 22):
+    space = OrbitSpace(M)
+    cap = min(budget, 22)
+    if space.pairs > 3 ** cap:
         raise BudgetExceeded(
-            "exact branch-width does Theta(3^%d) partition work, budget "
-            "is n <= %d" % (n, min(budget, 22)))
+            "exact branch-width does %d split pairs of work, budget is "
+            "3^%d (an n = %d matroid without clones)"
+            % (space.pairs, cap, cap))
     labels = M.ground.labels
     if n == 0:
         return 0, BranchDecomposition.build([], [], {})
     if n == 1:
         return 1, BranchDecomposition.build(["v0"], [], {labels[0]: "v0"})
-    lam = M.lam_table().tolist()
-    full = M.ground.full
-    size = full + 1
-    g = [0] * size
-    split = [0] * size
+    lam = space.by_state(space.lams())
+    g = space.table()
+    split = space.table()
+    keep, below = space.borrows()
+    lo = space.lo
     big = n + 2
-    for x in range(1, size):
-        if x & (x - 1) == 0:
-            g[x] = lam[x] + 1
-            continue
+    # Splits a + b = x are enumerated as a descending, stopping once
+    # a < b.  The 1-bit fields step as submasks, (a - 1) & x; the wide
+    # fields step in mixed radix, refilling the fields under the borrow
+    # from x.  Without clones only the first branch runs.
+    for x in space.packed()[1:]:
+        xl = x & lo
+        xh = x ^ xl
+        ah = xh
+        xm = x
+        sub = x
         best = big
         bestc = 0
-        sub = (x - 1) & x
-        while sub:
-            c = x ^ sub
+        while True:
+            if sub != ah:
+                sub = (sub - 1) & xm
+            elif ah:
+                b = ah & -ah
+                ah = ((ah - 1) & keep[b]) | (xh & below[b])
+                sub = xm = ah | xl
+            else:
+                break
+            c = x - sub
             if sub < c:
                 break
             a = g[sub]
@@ -246,37 +271,38 @@ def branch_width_exact(M: Matroid, budget: int = DP_BUDGET
             if v < best:
                 best = v
                 bestc = c
-            sub = (sub - 1) & x
         lx = lam[x] + 1
-        g[x] = best if best > lx else lx
+        g[x] = best if bestc and best > lx else lx
         split[x] = bestc
 
-    counter = [0]
-    vertices: List[str] = []
+    ids = _Ids("v")
     edges: List[Tuple[str, str]] = []
     leaf_labels: Dict[str, str] = {}
-
-    def fresh() -> str:
-        v = "v%d" % counter[0]
-        counter[0] += 1
-        vertices.append(v)
-        return v
-
-    def build(x: int) -> str:
-        v = fresh()
-        if x & (x - 1) == 0:
-            leaf_labels[labels[x.bit_length() - 1]] = v
-            return v
-        c = split[x]
-        edges.append((v, build(c)))
-        edges.append((v, build(x ^ c)))
-        return v
-
+    full = space.full
     top = split[full]
-    a = build(top)
-    b = build(full ^ top)
+    T = space.take(top, M.ground.full)
+    grow = (space, split, labels, ids, edges, leaf_labels)
+    a = _grow(grow, top, T)
+    b = _grow(grow, full - top, M.ground.full & ~T)
     edges.append((a, b))
-    return g[full], BranchDecomposition.build(vertices, edges, leaf_labels)
+    return g[full], BranchDecomposition.build(ids.vertices, edges,
+                                              leaf_labels)
+
+
+def _grow(tree, x: int, X: int) -> str:
+    """Subtree for state x from the stored splits; X is a concrete set
+    with the counts of x, and each split hands its first part the first
+    elements of every class."""
+    space, split, labels, ids, edges, leaf_labels = tree
+    v = ids.fresh()
+    c = split[x]
+    if not c:
+        leaf_labels[labels[X.bit_length() - 1]] = v
+        return v
+    C = space.take(c, X)
+    edges.append((v, _grow(tree, c, C)))
+    edges.append((v, _grow(tree, x - c, X & ~C)))
+    return v
 
 
 # -- decomposition builders --------------------------------------------------
@@ -436,12 +462,13 @@ def rank_bounded_family(M: Matroid, c: int) -> RankBelow:
     return RankBelow(c)
 
 
-def _member_table(M: Matroid, members, size: int) -> np.ndarray:
+def _member_table(space: OrbitSpace, members, ranks: np.ndarray
+                  ) -> np.ndarray:
     if isinstance(members, RankBelow):
-        return M.rank_table() < members.c
-    memb = np.zeros(size, dtype=bool)
+        return ranks < members.c
+    memb = np.zeros(space.count, dtype=bool)
     for x in members:
-        if x < 0 or x >= size:
+        if x < 0 or x >= space.count:
             raise ValueError("tangle member outside the ground set")
         memb[x] = True
     return memb
@@ -456,55 +483,66 @@ def verify_tangle(M: Matroid, tangle: Tangle, threads: int = 1
     (T3) no three members cover E -- reduced to pairs of inclusion-maximal
          members plus a superset-membership table;
     (T4) no member is the complement of a single element.
+
+    A rank-below family is a union of clonal orbits, so it is checked on
+    count-vector states; explicit member masks are checked on the
+    singleton partition, where states are masks.  T1/T2 witnesses are
+    the first elements of each class for the first violating state.
     """
     n = M.ground.n
-    if n > TANGLE_BUDGET:
-        raise BudgetExceeded(
-            "tangle verification scans 2^%d subsets, budget is 2^%d"
-            % (n, TANGLE_BUDGET))
     k = tangle.order
+    if isinstance(tangle.members, RankBelow):
+        space = OrbitSpace(M)
+    else:
+        space = OrbitSpace(M, [1 << i for i in range(n)])
+    if space.count > 1 << TANGLE_BUDGET:
+        raise BudgetExceeded(
+            "tangle verification scans %d states, budget is 2^%d"
+            % (space.count, TANGLE_BUDGET))
     if k < 1:
         return False, {"axiom": "order", "detail": "order must be >= 1"}
-    size = 1 << n
-    full = M.ground.full
-    ranks = M.rank_table(threads=threads).astype(np.int64)
-    lam = ranks + ranks[::-1] - int(M.rank_total)
-    memb = _member_table(M, tangle.members, size)
+    ranks = space.ranks(threads)
+    lam = space.lams(threads)
+    memb = _member_table(space, tangle.members, ranks)
 
-    def labels(x: int):
-        return sorted(M.ground.labels_of(int(x)))
+    def labels(mask: int):
+        return sorted(M.ground.labels_of(mask))
 
     viol = memb & (lam >= k - 1)
     if viol.any():
         x = int(np.nonzero(viol)[0][0])
-        return False, {"axiom": "T1", "set": labels(x),
+        return False, {"axiom": "T1", "set": labels(space.canonical(x)),
                        "lambda": int(lam[x]), "order": k}
     viol = (lam < k - 1) & ~(memb | memb[::-1])
     if viol.any():
         x = int(np.nonzero(viol)[0][0])
-        return False, {"axiom": "T2", "set": labels(x),
+        return False, {"axiom": "T2", "set": labels(space.canonical(x)),
                        "lambda": int(lam[x]), "order": k}
-    # inclusion-maximal members and a "some member contains X" table
-    idx = np.arange(size, dtype=np.int64)
+    # inclusion-maximal members and a "some member contains x" table
     mx = memb.copy()
     sup = memb.copy()
-    for b in range(n):
-        lower = np.nonzero((idx >> b) & 1 == 0)[0]
-        mx[lower] &= ~memb[lower | (1 << b)]
-        sup[lower] |= sup[lower | (1 << b)]
+    for c, st in enumerate(space.strides):
+        for lower in space.levels(c):
+            mx[lower] &= ~memb[lower + st]
+            sup[lower] |= sup[lower + st]
     maximal = np.nonzero(mx)[0]
     for x in maximal.tolist():
-        rest = full & ~(x | maximal)
-        bad = sup[rest]
+        bad = sup[space.remainders(x, maximal)]
         if bad.any():
+            # X and Y overlap as little as their counts allow, and a
+            # member contains the rest; for a rank-below family the rest
+            # is itself a member
             y = int(maximal[int(np.nonzero(bad)[0][0])])
-            need = full & ~(x | y)
-            z = next(int(m) for m in np.nonzero(memb)[0]
-                     if need & ~int(m) == 0)
-            return False, {"axiom": "T3", "sets": [labels(x), labels(y),
-                                                   labels(z)]}
+            X = space.canonical(x)
+            Y = space.canonical(y, last=True)
+            need = M.ground.full & ~(X | Y)
+            above = memb & space.above(space.index_of(need))
+            Z = space.extend(need, int(np.nonzero(above)[0][0]))
+            return False, {"axiom": "T3",
+                           "sets": [labels(X), labels(Y), labels(Z)]}
+    full = space.count - 1
     for i in range(n):
-        if memb[full ^ (1 << i)]:
+        if memb[full - space.strides[space.class_of[i]]]:
             return False, {"axiom": "T4",
                            "element": M.ground.labels[i]}
     if k >= 3:

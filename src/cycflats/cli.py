@@ -22,7 +22,7 @@ from .classes import (is_positroid_order, positroid_search,
                       presentation_matroid, verify_presentation)
 from .connectivity import (flats_cover, tutte_connectivity,
                            vertical_connectivity)
-from .core import Matroid, from_json
+from .core import Matroid, from_json, from_json_dict
 from .errors import AxiomViolation, InvalidTangle, MatroidError
 from .expansion import Presentation, deflate_with_map, expand, matroid_union
 from .invariants import config_isomorphic, configuration, tutte_polynomial
@@ -186,7 +186,7 @@ def _read_json(path: str) -> dict:
 
 def _resolve(spec: Optional[str], args) -> Matroid:
     if getattr(args, "input", None):
-        return from_json(Path(args.input).read_text())
+        return from_json_dict(_read_json(args.input))
     if getattr(args, "catalog", None):
         name = args.catalog
         if name not in catalog.names():
@@ -227,8 +227,8 @@ def _parse_budget(args) -> Optional[dict]:
 def _mask_of(M: Matroid, labels: List[str]) -> int:
     try:
         return M.ground.mask_of(labels)
-    except KeyError as ex:
-        raise UsageError("element %s is not in the ground set" % ex)
+    except ValueError as ex:
+        raise UsageError(str(ex))
 
 
 def _parse_rank_lt(spec: str, parts: int) -> List[int]:
@@ -374,8 +374,8 @@ def cmd_presentation_verify(args) -> Tuple[int, object]:
     sets = [set(_parse_labels(part)) for part in args.sets.split("|")]
     try:
         P = Presentation.from_labels(sets, M.ground)
-    except KeyError as ex:
-        raise UsageError("element %s is not in the ground set" % ex)
+    except ValueError as ex:
+        raise UsageError(str(ex))
     ok = verify_presentation(M, P)
     return (0 if ok else 2), {
         "presents": ok,
@@ -393,6 +393,9 @@ def cmd_verify(args) -> Tuple[int, object]:
         report = run_theorem(args.theorem, M, args.verify_matroid, args.t,
                              threads=args.threads)
     else:
+        if args.trials < 1:
+            raise UsageError("--trials must be at least 1, got %d"
+                             % args.trials)
         budget = _parse_budget(args)
         exact_budget = (budget["n"] if budget
                         and budget["mode"] == "exact" else None)

@@ -178,3 +178,52 @@ def union_rank_oracle(members, x: int) -> int:
             break
         y = (y - 1) & x
     return best
+
+
+def bw_dp_oracle(M: Matroid) -> int:
+    """Branch-width by the plain subset recursion over every bipartition
+    (n <= 14 or so): g(X) = max(lambda(X)+1, min max(g(A), g(X-A)))."""
+    n = M.ground.n
+    if n <= 1:
+        return n
+    lam = lambda_oracle(M)
+    g = [0] * (1 << n)
+    for x in range(1, 1 << n):
+        if popcount(x) == 1:
+            g[x] = lam[x] + 1
+            continue
+        best = None
+        a = (x - 1) & x
+        while a:
+            v = max(g[a], g[x ^ a])
+            if best is None or v < best:
+                best = v
+            a = (a - 1) & x
+        g[x] = max(best, lam[x] + 1)
+    return g[(1 << n) - 1]
+
+
+def rank_below_tangle_oracle(M: Matroid, c: int, k: int) -> bool:
+    """Do the sets of rank below c form a tangle of order k?
+
+    The four axioms are checked literally on the subset tables, except
+    that "some member contains Z" is read as r(Z) < c, which is what it
+    means for a family closed under taking subsets.
+    """
+    import numpy as np
+    n = M.ground.n
+    full = (1 << n) - 1
+    rank = np.array(rank_table_oracle(M))
+    lam = np.array(lambda_oracle(M))
+    memb = rank < c
+    if (memb & (lam >= k - 1)).any():                        # (T1)
+        return False
+    if ((lam < k - 1) & ~memb & ~memb[::-1]).any():          # (T2)
+        return False
+    if any(memb[full ^ (1 << i)] for i in range(n)):         # (T4)
+        return False
+    members = np.nonzero(memb)[0]
+    for a in members:                                         # (T3)
+        if memb[full & ~(a | members)].any():
+            return False
+    return True

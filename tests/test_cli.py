@@ -48,8 +48,18 @@ def test_validate_rejects_bad_lattice(tmp_path):
     assert "rank gap 2 over 2 new elements" in d["violation"]
 
 
-def test_missing_file_is_a_computation_error():
+def test_missing_input_file_is_a_usage_error():
     code, out, err = run_cli("validate", "--input", "/nonexistent/m.json")
+    assert code == 64
+    assert "cannot read" in err
+    code2, _, _ = run_cli("tau", "--input", "missing.json")
+    assert code2 == 64
+
+
+def test_unparsable_input_is_a_computation_error(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text("{not json")
+    code, _, _ = run_cli("validate", "--input", str(path))
     assert code == 1
 
 
@@ -72,9 +82,12 @@ def test_rank_command():
                     "1,4,5")["rank"] == 2
 
 
-def test_rank_rejects_foreign_labels():
-    code, _, _ = run_cli("rank", "--catalog", "fig1_N", "--set", "9")
-    assert code == 1
+def test_rank_rejects_foreign_labels_as_usage_error():
+    code, _, err = run_cli("rank", "--catalog", "fig1_N", "--set", "9")
+    assert code == 64
+    assert "unknown element" in err
+    code2, _, _ = run_cli("rank", "--catalog", "fig1_N", "--set", "4,5,99")
+    assert code2 == 64
 
 
 def test_tutte_command_matches_library():
@@ -211,6 +224,13 @@ def test_presentation_verify_command():
     assert json.loads(out)["presents"] is False
 
 
+def test_presentation_verify_rejects_foreign_labels():
+    code, _, err = run_cli("presentation-verify", "fig1_M", "--sets",
+                           "1,2,99")
+    assert code == 64
+    assert "unknown element" in err
+
+
 def test_verify_theorem_and_suite():
     d = run_json("verify", "--theorem", "tau-scaling", "--matroid",
                  "fig1_N", "--t", "2")
@@ -230,6 +250,15 @@ def test_verify_theorem_and_suite():
     assert code2 == 64
     code3, _, _ = run_cli("verify", "--suite", "nosuch")
     assert code3 == 64
+
+
+def test_verify_refuses_zero_or_negative_trials():
+    for suite, trials in (("equivalences", "0"), ("expansion-lemmas", "0"),
+                          ("equivalences", "-3")):
+        code, out, err = run_cli("verify", "--suite", suite, "--trials",
+                                 trials)
+        assert code == 64, (suite, trials, out)
+        assert "--trials" in err
 
 
 def test_global_flags_work_in_both_positions():

@@ -1,0 +1,156 @@
+"""Differential tests of the count-vector engine behind exact branch-width
+and rank-below tangles, against the independent oracles."""
+
+import random
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from cycflats import (BudgetExceeded, Tangle, branch_width_exact,
+                      decomposition_width, expand, popcount,
+                      rank_bounded_family, uniform, validate_axioms,
+                      verify_tangle)
+from cycflats.catalog import entries, get
+from cycflats.orbits import OrbitSpace
+from cycflats.verify import random_matroid
+
+from oracles import (bw_dp_oracle, bw_oracle, lambda_oracle,
+                     rank_below_tangle_oracle, rank_table_oracle)
+
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
+                    suppress_health_check=[HealthCheck.filter_too_much])
+
+
+@st.composite
+def expansions(draw, max_n=14):
+    """A seeded random matroid on <= 7 elements and one of its
+    t-expansions, t in {1, 2, 3}, with at most max_n elements."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    t = draw(st.sampled_from([1, 2, 3]))
+    M = random_matroid(random.Random(seed), 7)
+    assume(M.ground.n * t <= max_n)
+    return M if t == 1 else expand(M, t)[0]
+
+
+@st.composite
+def catalog_minors(draw, max_n=12):
+    """A deletion of a catalog matroid's expansion: classes of mixed
+    sizes, one-element classes among them."""
+    name = draw(st.sampled_from(sorted(entries())))
+    t = draw(st.sampled_from([1, 2, 3]))
+    M = expand(get(name), t)[0] if t > 1 else get(name)
+    n = M.ground.n
+    gone = draw(st.sets(st.integers(0, n - 1), min_size=max(0, n - max_n),
+                        max_size=n - 1))
+    return M.delete(sum(1 << i for i in gone))
+
+
+samples = st.one_of(expansions(), catalog_minors())
+small_samples = st.one_of(expansions(max_n=12), catalog_minors(max_n=10))
+
+
+@SETTINGS
+@given(samples)
+def test_branch_width_matches_the_oracles(M):
+    value, deco = branch_width_exact(M)
+    want = bw_oracle(M) if M.ground.n <= 7 else bw_dp_oracle(M)
+    assert value == want
+    assert decomposition_width(M, deco) == value
+
+
+@SETTINGS
+@given(small_samples)
+def test_rank_below_tangle_verdicts_match_the_axioms(M):
+    for c in range(1, M.rank_total + 2):
+        for k in range(1, c + 3):
+            ok, witness = verify_tangle(M, Tangle(k, rank_bounded_family(M,
+                                                                         c)))
+            assert ok == rank_below_tangle_oracle(M, c, k), (c, k, witness)
+            assert (witness is None) == ok
+
+
+@SETTINGS
+@given(small_samples)
+def test_tangle_witnesses_are_violations(M):
+    rank = rank_table_oracle(M)
+    lam = lambda_oracle(M)
+    full = M.ground.full
+    for c in range(1, M.rank_total + 2):
+        for k in range(1, c + 3):
+            ok, w = verify_tangle(M, Tangle(k, rank_bounded_family(M, c)))
+            if ok:
+                continue
+            if w["axiom"] in ("T1", "T2"):
+                x = M.ground.mask_of(w["set"])
+                assert w["lambda"] == lam[x]
+                if w["axiom"] == "T1":
+                    assert rank[x] < c and lam[x] >= k - 1
+                else:
+                    assert lam[x] < k - 1
+                    assert rank[x] >= c and rank[full ^ x] >= c
+            elif w["axiom"] == "T3":
+                sets = [M.ground.mask_of(s) for s in w["sets"]]
+                assert all(rank[s] < c for s in sets)
+                assert sets[0] | sets[1] | sets[2] == full
+            else:
+                e = M.ground.mask_of([w["element"]])
+                assert w["axiom"] == "T4" and rank[full ^ e] < c
+
+
+@SETTINGS
+@given(st.integers(0, 2 ** 32 - 1))
+def test_states_carry_rank_and_lambda(seed):
+    M = expand(random_matroid(random.Random(seed), 5), 2)[0]
+    space = OrbitSpace(M)
+    rank = rank_table_oracle(M)
+    lam = lambda_oracle(M)
+    ranks, lams = space.ranks(), space.lams()
+    assert space.count == len(ranks)
+    for i in range(space.count):
+        x = space.canonical(i)
+        assert space.index_of(x) == i
+        assert ranks[i] == rank[x] and lams[i] == lam[x]
+        y = space.canonical(i, last=True)
+        assert popcount(x) == popcount(y) and rank[y] == rank[x]
+
+
+def fano():
+    lines = ["124", "235", "346", "457", "156", "267", "137"]
+    return validate_axioms([((), 0)] + [(set(ln), 2) for ln in lines]
+                           + [(set("1234567"), 3)], list("1234567"))
+
+
+def test_clone_free_states_are_masks():
+    F = fano()
+    space = OrbitSpace(F)
+    assert space.radix2 and space.count == 1 << 7
+    assert list(space.packed()) == list(range(1 << 7))
+    assert space.pairs == 3 ** 7
+    assert all(space.canonical(x) == x for x in range(1 << 7))
+    assert (space.lams() == lambda_oracle(F)).all()
+    assert branch_width_exact(F)[0] == bw_oracle(F)
+
+
+def test_doubled_examples_under_the_default_budget():
+    assert branch_width_exact(expand(get("fig2_M"), 2)[0])[0] == 5
+    assert branch_width_exact(expand(get("fig2_N"), 2)[0])[0] == 6
+    M4 = expand(get("fig2_M"), 4)[0]
+    value, deco = branch_width_exact(M4)
+    assert M4.ground.n == 36 and value == 9
+    assert decomposition_width(M4, deco) == 9
+
+
+def test_budget_counts_split_pairs():
+    M = get("fig2_M")                      # three classes of three
+    assert OrbitSpace(M).pairs == 10 ** 3
+    with pytest.raises(BudgetExceeded):
+        branch_width_exact(M, budget=6)    # 3^6 = 729 < 1000
+    assert branch_width_exact(M, budget=7)[0] == 3
+    # clone-free: the budget is the element count, as before
+    with pytest.raises(BudgetExceeded):
+        branch_width_exact(fano(), budget=6)
+    assert branch_width_exact(fano(), budget=7)[0] == bw_oracle(fano())
+    # U(2,7) is one class of seven: 36 pairs
+    assert branch_width_exact(uniform(2, 7), budget=4)[0] == 3
+
