@@ -72,11 +72,10 @@ def _scan(M: Matroid, qualifier: str, threads: int = 1):
             % (n, SCAN_BUDGET))
     if n == 0:
         return None, None
-    ranks = M.rank_table(threads=threads).astype(np.int64)
-    lam = ranks + ranks[::-1] - int(M.rank_total)
+    ranks = M.rank_table(threads=threads)
+    lam = M.lam_table(threads=threads)
     if qualifier == "size":
-        masks = np.arange(1 << n, dtype=np.uint64)
-        sizes = np.bitwise_count(masks).astype(np.int64)
+        sizes = np.bitwise_count(np.arange(1 << n, dtype=np.uint64))
         bound = np.minimum(sizes, n - sizes)
     else:
         bound = np.minimum(ranks, ranks[::-1])

@@ -10,14 +10,26 @@ Subsets of the ground set are bitmasks over a fixed label order, so the
 ground set is capped at 62 elements and the rank formula is a short loop
 (or a vectorized numpy scan when a full 2^n table is wanted).
 
+Call A an attaining member for X when r(A) + |X - A| = r(X).  For any
+family of (set, rank) pairs, valid or not, the minimum formula gives
+
+    r(X + e) = r(X)  iff  e lies in some attaining member, and
+    r(X - e) < r(X)  iff  e misses some attaining member,
+
+so cl(X) is X plus the union of the attaining members and the cyclic part
+of X (X without the coloops of M|X) is X within their intersection.  One
+pass over the family yields the rank and both (Matroid._attaining).
+
 validate_axioms() is the only entry point that builds a Matroid from raw
 data.  It checks, in order: that the family has a least and a greatest
-member, that joins and meets computed by the closure/coloop rules stay in
-the family and agree with the order-theoretic joins and meets, and then the
-three rank axioms (Z1) r(least) = 0, (Z2) 0 < r(Y)-r(X) < |Y-X| for nested
-pairs, (Z3) submodularity with the parallel-correction term on incomparable
-pairs.  Violations raise with a witness attached; nothing is silently
-repaired.
+member, (Z1) r(least) = 0, (Z2) 0 < r(Y)-r(X) < |Y-X| for nested pairs,
+and then, on one sweep over incomparable pairs, that the join cl(X | Y)
+and the meet cyc(X & Y) computed by the min formula stay in the family and
+are the order-theoretic join and meet there, and (Z3) submodularity with
+the parallel-correction term.  The bound checks read per-member bitsets of
+the members above and below, so with m members the sweep costs O(m^3)
+word operations, independent of the ground-set size.  Violations raise
+with a witness attached; nothing is silently repaired.
 """
 
 from __future__ import annotations
@@ -42,7 +54,7 @@ MINOR_BUDGET = 22        # largest surviving ground set for minors
 
 
 def popcount(x: int) -> int:
-    return bin(x).count("1")
+    return x.bit_count()
 
 
 class GroundSet:
@@ -99,11 +111,10 @@ class Matroid:
     __slots__ = ("ground", "zee", "rank_total", "loops", "coloops",
                  "_rank_cache", "_table")
 
-    def __init__(self, ground: GroundSet, zee: Sequence[tuple],
-                 rank_cache: Optional[dict] = None):
+    def __init__(self, ground: GroundSet, zee: Sequence[tuple]):
         self.ground = ground
         self.zee = tuple(sorted(zee, key=lambda ar: _label_key(ground, ar[0])))
-        self._rank_cache = dict(rank_cache) if rank_cache else {}
+        self._rank_cache = {}
         self._table = None
         least = self.zee[0][0]
         for a, _ in self.zee:
@@ -119,43 +130,38 @@ class Matroid:
 
     def rank(self, mask: int) -> int:
         got = self._rank_cache.get(mask)
-        if got is not None:
-            return got
+        if got is None:
+            got = self._rank_cache[mask] = self._attaining(mask)[0]
+        return got
+
+    def _attaining(self, mask: int) -> tuple:
+        """(r(mask), union, intersection) of the attaining members of the
+        minimum formula for mask; see the module docstring."""
         best = None
         for a, r in self.zee:
-            v = r + popcount(mask & ~a)
+            v = r + (mask & ~a).bit_count()
             if best is None or v < best:
-                best = v
-        self._rank_cache[mask] = best
-        return best
+                best, union, inter = v, a, a
+            elif v == best:
+                union |= a
+                inter &= a
+        return best, union, inter
 
     def rank_of(self, elements: Iterable[str]) -> int:
         return self.rank(self.ground.mask_of(elements))
 
     def closure(self, mask: int) -> int:
-        r = self.rank(mask)
-        out = mask
-        rest = self.ground.full & ~mask
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            if self.rank(mask | b) == r:
-                out |= b
-        return out
+        return mask | self._attaining(mask)[1]
 
     def is_flat(self, mask: int) -> bool:
-        return self.closure(mask) == mask
+        return not self._attaining(mask)[1] & ~mask
+
+    def cyclic_part(self, mask: int) -> int:
+        """mask without the coloops of the restriction to mask."""
+        return mask & self._attaining(mask)[2]
 
     def is_cyclic(self, mask: int) -> bool:
-        # no coloops in the restriction: dropping any element keeps the rank
-        r = self.rank(mask)
-        rest = mask
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            if self.rank(mask ^ b) < r:
-                return False
-        return True
+        return not mask & ~self._attaining(mask)[2]
 
     def lam(self, mask: int) -> int:
         """Connectivity function lambda(X) = r(X) + r(E-X) - r(M)."""
@@ -183,8 +189,10 @@ class Matroid:
         The complement of mask X is full - X, so reversing the rank table
         lines complements up with their partners.
         """
-        t = self.rank_table(threads=threads).astype(np.int64)
-        return t + t[::-1] - int(self.rank_total)
+        t = self.rank_table(threads=threads)
+        lam = t + t[::-1]
+        lam -= self.rank_total
+        return lam
 
     # -- structure --------------------------------------------------------
 
@@ -438,20 +446,18 @@ def validate_axioms(flats, ground) -> Matroid:
         recs.append((a, r))
     if not recs:
         raise ValueError("the family of cyclic flats must be nonempty")
-    seen = {}
+    byset = {}
     for a, r in recs:
-        if a in seen and seen[a] != r:
+        if a in byset and byset[a] != r:
             raise ValueError("the same set listed with two ranks")
-        seen[a] = r
-    recs = sorted(seen.items(), key=lambda ar: _label_key(ground, ar[0]))
+        byset[a] = r
+    recs = sorted(byset.items(), key=lambda ar: _label_key(ground, ar[0]))
 
-    masks = [a for a, _ in recs]
-    meet_all = masks[0]
+    meet_all = recs[0][0]
     join_all = 0
-    for a in masks:
+    for a, _ in recs:
         meet_all &= a
         join_all |= a
-    byset = dict(recs)
     if meet_all not in byset:
         raise Z0Violation("no least member: the intersection of the family "
                           "is not in the family",
@@ -461,42 +467,6 @@ def validate_axioms(flats, ground) -> Matroid:
                           "not in the family",
                           witness=ground.labels_of(join_all))
 
-    cache = {}
-
-    def crank(x: int) -> int:
-        got = cache.get(x)
-        if got is not None:
-            return got
-        best = None
-        for a, r in recs:
-            v = r + popcount(x & ~a)
-            if best is None or v < best:
-                best = v
-        cache[x] = best
-        return best
-
-    def rule_join(u: int) -> int:
-        ru = crank(u)
-        out = u
-        rest = ground.full & ~u
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            if crank(u | b) == ru:
-                out |= b
-        return out
-
-    def rule_meet(s: int) -> int:
-        rs = crank(s)
-        drop = 0
-        rest = s
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            if crank(s ^ b) < rs:
-                drop |= b
-        return s & ~drop
-
     # (Z1) least member has rank zero
     if byset[meet_all] != 0:
         raise Z1Violation(
@@ -504,10 +474,19 @@ def validate_axioms(flats, ground) -> Matroid:
             % (sorted(ground.labels_of(meet_all)), byset[meet_all]),
             witness=ground.labels_of(meet_all))
 
-    # (Z2) strict, properly submaximal growth on nested pairs
+    # (Z2) strict, properly submaximal growth on nested pairs.  The same
+    # sweep fills the order bitsets: bit k of up[i] is set when member k
+    # contains member i, bit k of down[i] when member i contains member k.
+    m = len(recs)
+    up = [0] * m
+    down = [0] * m
     for i, (x, rx) in enumerate(recs):
-        for y, ry in recs:
-            if x == y or (x & ~y):
+        for j, (y, ry) in enumerate(recs):
+            if x & ~y:
+                continue
+            up[i] |= 1 << j
+            down[j] |= 1 << i
+            if i == j:
                 continue
             gap = ry - rx
             if not (0 < gap < popcount(y & ~x)):
@@ -518,54 +497,59 @@ def validate_axioms(flats, ground) -> Matroid:
                                   popcount(y & ~x)),
                     witness=(ground.labels_of(x), ground.labels_of(y)))
 
-    # (Z0) joins and meets: computed by the rules, must land in the family
-    # and must be the order-theoretic join/meet there.
+    # (Z0) joins and meets: computed by the min formula, must land in the
+    # family and must be the order-theoretic join/meet there; a violating
+    # bound is the first member, in family order, of a bitset difference.
     # (Z3) on the same pair sweep (incomparable pairs suffice).
-    m = len(recs)
+    M = Matroid(ground, recs)
+    pos = {a: k for k, (a, _) in enumerate(recs)}
     for i in range(m):
         x, rx = recs[i]
         for j in range(i + 1, m):
             y, ry = recs[j]
             if (x & ~y) == 0 or (y & ~x) == 0:
                 continue   # comparable: join/meet trivial, (Z3) automatic
-            jn = rule_join(x | y)
-            rj = byset.get(jn)
-            if rj is None:
+            jn = M.closure(x | y)
+            kj = pos.get(jn)
+            if kj is None:
                 raise Z0Violation(
                     "join of %s and %s computed as %s, which is not in the "
                     "family" % (sorted(ground.labels_of(x)),
                                 sorted(ground.labels_of(y)),
                                 sorted(ground.labels_of(jn))),
                     witness=(ground.labels_of(x), ground.labels_of(y)))
-            for z in masks:
-                if (x & ~z) == 0 and (y & ~z) == 0 and (jn & ~z):
-                    raise Z0Violation(
-                        "family member %s is an upper bound of %s and %s "
-                        "but does not contain their computed join"
-                        % (sorted(ground.labels_of(z)),
-                           sorted(ground.labels_of(x)),
-                           sorted(ground.labels_of(y))),
-                        witness=(ground.labels_of(x), ground.labels_of(y),
-                                 ground.labels_of(z)))
-            mt = rule_meet(x & y)
-            rm = byset.get(mt)
-            if rm is None:
+            bad = up[i] & up[j] & ~up[kj]
+            if bad:
+                z = recs[(bad & -bad).bit_length() - 1][0]
+                raise Z0Violation(
+                    "family member %s is an upper bound of %s and %s "
+                    "but does not contain their computed join"
+                    % (sorted(ground.labels_of(z)),
+                       sorted(ground.labels_of(x)),
+                       sorted(ground.labels_of(y))),
+                    witness=(ground.labels_of(x), ground.labels_of(y),
+                             ground.labels_of(z)))
+            mt = M.cyclic_part(x & y)
+            km = pos.get(mt)
+            if km is None:
                 raise Z0Violation(
                     "meet of %s and %s computed as %s, which is not in the "
                     "family" % (sorted(ground.labels_of(x)),
                                 sorted(ground.labels_of(y)),
                                 sorted(ground.labels_of(mt))),
                     witness=(ground.labels_of(x), ground.labels_of(y)))
-            for z in masks:
-                if (z & ~x) == 0 and (z & ~y) == 0 and (z & ~mt):
-                    raise Z0Violation(
-                        "family member %s is a lower bound of %s and %s "
-                        "but is not contained in their computed meet"
-                        % (sorted(ground.labels_of(z)),
-                           sorted(ground.labels_of(x)),
-                           sorted(ground.labels_of(y))),
-                        witness=(ground.labels_of(x), ground.labels_of(y),
-                                 ground.labels_of(z)))
+            bad = down[i] & down[j] & ~down[km]
+            if bad:
+                z = recs[(bad & -bad).bit_length() - 1][0]
+                raise Z0Violation(
+                    "family member %s is a lower bound of %s and %s "
+                    "but is not contained in their computed meet"
+                    % (sorted(ground.labels_of(z)),
+                       sorted(ground.labels_of(x)),
+                       sorted(ground.labels_of(y))),
+                    witness=(ground.labels_of(x), ground.labels_of(y),
+                             ground.labels_of(z)))
+            rj, rm = recs[kj][1], recs[km][1]
             correction = popcount((x & y) & ~mt)
             if rj + rm + correction > rx + ry:
                 raise Z3Violation(
@@ -576,7 +560,7 @@ def validate_axioms(flats, ground) -> Matroid:
                        rj + rm + correction, rx + ry),
                     witness=(ground.labels_of(x), ground.labels_of(y)))
 
-    return Matroid(ground, recs, rank_cache=cache)
+    return M
 
 
 # -- constructors -----------------------------------------------------------

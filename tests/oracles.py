@@ -227,3 +227,75 @@ def rank_below_tangle_oracle(M: Matroid, c: int, k: int) -> bool:
         if memb[full & ~(a | members)].any():
             return False
     return True
+
+
+def validate_oracle(flats, labels):
+    """The cyclic-flat axiom checks, one rank evaluation per element.
+
+    Runs the checks of validate_axioms in the same order on the same
+    sweep, but computes the join of X and Y by testing r(U + e) = r(U)
+    for every e outside U = X | Y, the meet by testing r(S - e) < r(S)
+    for every e in S = X & Y, and looks for a violating upper or lower
+    bound by scanning the whole family.  flats is a list of (mask, rank)
+    pairs without repeated masks.  Returns None when the family is
+    accepted, else (name of the violation class, witness as labels).
+    """
+    n = len(labels)
+    full = (1 << n) - 1
+
+    def size(x):
+        return bin(x).count("1")
+
+    def names(x):
+        return tuple(labels[i] for i in range(n) if x >> i & 1)
+
+    recs = sorted(flats, key=lambda ar: (size(ar[0]), names(ar[0])))
+    byset = dict(recs)
+    masks = [a for a, _ in recs]
+    meet_all, join_all = full, 0
+    for a in masks:
+        meet_all &= a
+        join_all |= a
+    if meet_all not in byset:
+        return "Z0Violation", names(meet_all)
+    if join_all not in byset:
+        return "Z0Violation", names(join_all)
+    if byset[meet_all] != 0:
+        return "Z1Violation", names(meet_all)
+    for x, rx in recs:
+        for y, ry in recs:
+            if x != y and x & ~y == 0 and not 0 < ry - rx < size(y & ~x):
+                return "Z2Violation", (names(x), names(y))
+
+    def crank(u):
+        return min(r + size(u & ~a) for a, r in recs)
+
+    def rule_join(u):
+        ru = crank(u)
+        return u | sum(1 << i for i in range(n)
+                       if not u >> i & 1 and crank(u | 1 << i) == ru)
+
+    def rule_meet(s):
+        rs = crank(s)
+        return s & ~sum(1 << i for i in range(n)
+                        if s >> i & 1 and crank(s & ~(1 << i)) < rs)
+
+    for i, (x, rx) in enumerate(recs):
+        for y, ry in recs[i + 1:]:
+            if x & ~y == 0 or y & ~x == 0:
+                continue
+            jn = rule_join(x | y)
+            if jn not in byset:
+                return "Z0Violation", (names(x), names(y))
+            for z in masks:
+                if x | y | z == z and jn | z != z:
+                    return "Z0Violation", (names(x), names(y), names(z))
+            mt = rule_meet(x & y)
+            if mt not in byset:
+                return "Z0Violation", (names(x), names(y))
+            for z in masks:
+                if z & x & y == z and z & mt != z:
+                    return "Z0Violation", (names(x), names(y), names(z))
+            if byset[jn] + byset[mt] + size(x & y & ~mt) > rx + ry:
+                return "Z3Violation", (names(x), names(y))
+    return None

@@ -1,0 +1,164 @@
+"""Lattice operations against direct definitions: validate_axioms against
+the per-element oracle, closure and cyclic parts against rank tables, and
+the expansion and duality identities on random matroids."""
+
+import random
+from collections import Counter
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from cycflats import (AxiomViolation, GroundSet, deflate, expand, popcount,
+                      validate_axioms)
+from cycflats.verify import random_matroid
+
+from oracles import rank_table_oracle, validate_oracle
+
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
+                    suppress_health_check=[HealthCheck.filter_too_much])
+
+MUTATIONS = ("none", "rank+1", "rank-1", "drop", "add", "swap")
+
+
+@st.composite
+def families(draw):
+    """The cyclic flats of a random matroid on <= 7 elements, as
+    (mask, rank) pairs, after one mutation: a rank raised or lowered by
+    one, a flat dropped, a random set added with a random rank, or the
+    ranks of two flats swapped."""
+    M = random_matroid(random.Random(draw(st.integers(0, 2 ** 32 - 1))), 7)
+    n = M.ground.n
+    zee = dict(M.zee)
+    masks = list(zee)
+    kind = draw(st.sampled_from(MUTATIONS))
+    a = draw(st.sampled_from(masks))
+    if kind == "rank+1":
+        zee[a] += 1
+    elif kind == "rank-1" and zee[a] > 0:
+        zee[a] -= 1
+    elif kind == "drop" and len(masks) > 1:
+        del zee[a]
+    elif kind == "add":
+        zee[draw(st.integers(0, (1 << n) - 1))] = draw(st.integers(0, n))
+    elif kind == "swap":
+        b = draw(st.sampled_from(masks))
+        zee[a], zee[b] = zee[b], zee[a]
+    return M.ground, sorted(zee.items())
+
+
+@st.composite
+def graded_families(draw):
+    """Random sets with ranks that pass (Z1) and (Z2) by construction, so
+    that the join, meet and (Z3) checks decide: each set's nullity
+    exceeds that of every member below it and its rank exceeds theirs."""
+    n = draw(st.integers(4, 7))
+    full = (1 << n) - 1
+    sets = draw(st.sets(st.integers(1, full - 1), max_size=6))
+    rank = {}
+    nullity = {}
+    for a in sorted({0, full} | sets, key=popcount):
+        below = [b for b in rank if b & ~a == 0]
+        low_null = max([nullity[b] + 1 for b in below], default=0)
+        high_null = popcount(a) - max([rank[b] + 1 for b in below],
+                                      default=0)
+        if high_null < low_null:
+            continue
+        nullity[a] = draw(st.integers(low_null, high_null))
+        rank[a] = popcount(a) - nullity[a]
+    ground = GroundSet([str(i + 1) for i in range(n)])
+    return ground, sorted(rank.items())
+
+
+def _verdict(flats, ground):
+    try:
+        M = validate_axioms(flats, ground)
+    except AxiomViolation as exc:
+        return type(exc).__name__, exc.witness
+    assert sorted(M.zee) == flats
+    return None
+
+
+def test_validation_matches_the_per_element_oracle():
+    verdicts = Counter()
+
+    @settings(SETTINGS, max_examples=600)
+    @given(st.one_of(families(), graded_families()))
+    def check(case):
+        ground, flats = case
+        want = validate_oracle(flats, ground.labels)
+        assert _verdict(flats, ground) == want
+        verdicts[want[0] if want else "accepted"] += 1
+
+    check()
+    # every verdict must have been reached: a check over no invalid
+    # families shows nothing
+    for name in ("accepted", "Z0Violation", "Z1Violation", "Z2Violation",
+                 "Z3Violation"):
+        assert verdicts[name] > 0, verdicts
+
+
+def test_upper_bound_witness_matches_the_oracle():
+    # three rank-2 planes over the lines 23 and 26 make every element
+    # spanned by 236, so the computed join is the whole set, and the first
+    # plane is an upper bound of the two lines that misses it
+    ground = GroundSet("123456")
+    flats = sorted((ground.mask_of(s), r) for s, r in (
+        ("", 0), ("23", 1), ("26", 1), ("1236", 2), ("2346", 2),
+        ("2356", 2), ("123456", 3)))
+    want = validate_oracle(flats, ground.labels)
+    assert want == ("Z0Violation", (("2", "3"), ("2", "6"),
+                                    ("1", "2", "3", "6")))
+    assert _verdict(flats, ground) == want
+
+
+@st.composite
+def matroids(draw):
+    """A random matroid on <= 7 elements, or its 2-expansion."""
+    M = random_matroid(random.Random(draw(st.integers(0, 2 ** 32 - 1))), 7)
+    return expand(M, 2)[0] if draw(st.booleans()) else M
+
+
+@SETTINGS
+@given(matroids(), st.integers(0, 2 ** 32 - 1))
+def test_closure_and_cyclic_part_match_the_rank_table(M, seed):
+    rank = rank_table_oracle(M)
+    n = M.ground.n
+    subsets = range(1 << n)
+    if n > 8:
+        subsets = random.Random(seed).sample(subsets, 256)
+    bits = [1 << i for i in range(n)]
+    for x in subsets:
+        cl = x | sum(b for b in bits
+                     if not x & b and rank[x | b] == rank[x])
+        cyc = x & ~sum(b for b in bits if x & b and rank[x ^ b] < rank[x])
+        assert M.closure(x) == cl
+        assert M.is_flat(x) == (cl == x)
+        assert M.cyclic_part(x) == cyc
+        assert M.is_cyclic(x) == (cyc == x)
+
+
+@SETTINGS
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 3]))
+def test_deflate_undoes_expand_up_to_relabelling(seed, t):
+    M = random_matroid(random.Random(seed), 7)
+    Mt, emap = expand(M, t)
+    back = deflate(Mt, t)
+    # the clonal classes of M^t are the blown-up classes of M; deflate
+    # keeps some labels of each, which map onto that class of M
+    mapping = {}
+    for cls in Mt.clonal_classes():
+        labels = Mt.ground.labels_of(cls)
+        kept = [lab for lab in labels if lab in back.ground.index]
+        base = sorted({emap.inverse[lab] for lab in labels})
+        assert len(kept) == len(base)
+        mapping.update(zip(kept, base))
+    assert back.relabel(mapping).equals(M)
+
+
+@SETTINGS
+@given(matroids(), st.integers(0, 2 ** 32 - 1))
+def test_dual_of_deletion_is_contraction_of_dual(M, seed):
+    x = random.Random(seed).getrandbits(M.ground.n)
+    assert M.delete(x).dual().equals(M.dual().contract(x))
+    assert M.contract(x).dual().equals(M.dual().delete(x))
+
