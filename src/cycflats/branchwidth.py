@@ -16,12 +16,15 @@ whose top value g(E) is the branch-width.  lambda and g depend only on
 how many elements of each clonal class X holds, so the program runs on
 count vectors (orbits.OrbitSpace): a split of state x is a state a <= x
 with complement x - a, and an optimal decomposition is rebuilt by
-handing each side the first elements of every class.  The work is the
-number of split pairs, prod over classes of C(s_c+2, 2); without clones
-that is 3^n and the states are the 2^n masks.  The budget is stated in
-that work: budget=b allows as many pairs as an n = b clone-free matroid,
-so t-expansions run far beyond 18 elements: fig2_M^4 has n = 36 but
-three classes of 12, hence 91^3 (under 3^13) pairs.
+handing each side the first elements of every class.  The splits of x
+are scanned only until one has max(g(A), g(B)) <= lambda(X)+1, since
+no split can bring g(X) lower, and the tree takes the first split of
+least width scanned.  The worst-case work is the number of split pairs,
+prod over classes of C(s_c+2, 2); without clones that is 3^n and the
+states are the 2^n masks.  The budget is stated in that work: budget=b
+allows as many pairs as an n = b clone-free matroid, so t-expansions
+run far beyond 18 elements: fig2_M^4 has n = 36 but three classes of
+12, hence 91^3 (under 3^13) pairs.
 
 Beyond the budget, a width is certified: an explicit decomposition gives
 the upper bound, and a verified tangle of order k gives the lower bound k
@@ -244,7 +247,9 @@ def branch_width_exact(M: Matroid, budget: int = DP_BUDGET
     # Splits a + b = x are enumerated as a descending, stopping once
     # a < b.  The 1-bit fields step as submasks, (a - 1) & x; the wide
     # fields step in mixed radix, refilling the fields under the borrow
-    # from x.  Without clones only the first branch runs.
+    # from x.  Without clones only the first branch runs.  No split can
+    # bring g(x) below lambda(x)+1, so the scan stops at the first split
+    # that reaches it.
     for x in space.packed()[1:]:
         xl = x & lo
         xh = x ^ xl
@@ -253,6 +258,7 @@ def branch_width_exact(M: Matroid, budget: int = DP_BUDGET
         sub = x
         best = big
         bestc = 0
+        lx = lam[x] + 1
         while True:
             if sub != ah:
                 sub = (sub - 1) & xm
@@ -271,7 +277,8 @@ def branch_width_exact(M: Matroid, budget: int = DP_BUDGET
             if v < best:
                 best = v
                 bestc = c
-        lx = lam[x] + 1
+                if v <= lx:
+                    break
         g[x] = best if bestc and best > lx else lx
         split[x] = bestc
 
@@ -518,13 +525,17 @@ def verify_tangle(M: Matroid, tangle: Tangle, threads: int = 1
         x = int(np.nonzero(viol)[0][0])
         return False, {"axiom": "T2", "set": labels(space.canonical(x)),
                        "lambda": int(lam[x]), "order": k}
-    # inclusion-maximal members and a "some member contains x" table
+    # inclusion-maximal members and a "some member contains x" table; the
+    # dense number of a state is outer*(s_c+1)*st + x_c*st + inner, so
+    # axis 1 of each reshaped view is the count x_c
     mx = memb.copy()
     sup = memb.copy()
-    for c, st in enumerate(space.strides):
-        for lower in space.levels(c):
-            mx[lower] &= ~memb[lower + st]
-            sup[lower] |= sup[lower + st]
+    for s, st in zip(space.sizes, space.strides):
+        shape = (-1, s + 1, st)
+        mx.reshape(shape)[:, :-1] &= ~memb.reshape(shape)[:, 1:]
+        up = sup.reshape(shape)
+        for d in range(s - 1, -1, -1):
+            up[:, d] |= up[:, d + 1]
     maximal = np.nonzero(mx)[0]
     for x in maximal.tolist():
         bad = sup[space.remainders(x, maximal)]

@@ -295,18 +295,14 @@ class Matroid:
         return out
 
     def hyperplanes(self) -> list:
-        """Masks of rank (r-1) flats, via a table scan."""
-        n = self.ground.n
+        """Masks of rank (r-1) flats, ascending: the rank-(r-1) sets of the
+        table that every added element raises."""
         table = self.rank_table()
-        masks = np.arange(1 << n, dtype=np.uint64)
-        isflat = np.ones(1 << n, dtype=bool)
-        for b in range(n):
-            bit = np.uint64(1 << b)
-            absent = (masks & bit) == 0
-            grown = (masks[absent] | bit).astype(np.int64)
-            isflat[absent] &= table[grown] > table[masks[absent].astype(np.int64)]
-        want = isflat & (table == self.rank_total - 1)
-        return [int(v) for v in masks[want]]
+        cand = np.nonzero(table == self.rank_total - 1)[0]
+        for b in range(self.ground.n):
+            grown = cand | (1 << b)
+            cand = cand[(grown == cand) | (table[grown] > table[cand])]
+        return cand.tolist()
 
     def clonal_classes(self) -> list:
         """Partition of E into clonal classes, as masks.

@@ -204,16 +204,6 @@ class OrbitSpace:
             self._idx = np.arange(self.count, dtype=np.int64)
         return self._idx
 
-    def levels(self, c: int):
-        """Dense numbers of the states with x_c = d, for d = s_c-1 .. 0."""
-        idx = self._index()
-        if self.radix2:
-            digit = (idx >> c) & 1
-        else:
-            digit = self.digits()[c]
-        for d in range(self.sizes[c] - 1, -1, -1):
-            yield np.nonzero(digit == d)[0]
-
     def above(self, index: int) -> np.ndarray:
         """Which states hold at least the counts of the state `index`."""
         if self.radix2:

@@ -195,6 +195,18 @@ def test_explicit_member_tangle_and_tampering():
     assert not ok2 and wit2 is not None
 
 
+def test_explicit_cover_through_a_member_containing_the_rest():
+    # with E a member, E, E and any member cover E; the rest of E after
+    # E and E is empty, not a member, and only lies inside members
+    u = uniform(2, 6)
+    members = tuple(1 << i for i in range(6)) + (u.ground.full,)
+    ok, wit = verify_tangle(u, Tangle(3, members))
+    assert not ok and wit["axiom"] == "T3"
+    sets = [u.ground.mask_of(s) for s in wit["sets"]]
+    assert all(s in members for s in sets)
+    assert sets[0] | sets[1] | sets[2] == u.ground.full
+
+
 def test_low_rank_sets_belong_to_every_valid_tangle():
     u = uniform(2, 6)
     small = tuple(x for x in range(1 << 6) if popcount(x) <= 1)

@@ -137,6 +137,25 @@ def test_closure_and_cyclic_part_match_the_rank_table(M, seed):
         assert M.is_cyclic(x) == (cyc == x)
 
 
+def test_hyperplanes_are_the_closures_of_corank_one_sets():
+    seen = Counter()
+
+    @SETTINGS
+    @given(matroids())
+    def check(M):
+        rank = rank_table_oracle(M)
+        r = M.rank_total
+        bits = [1 << i for i in range(M.ground.n)]
+        want = {x | sum(b for b in bits if rank[x | b] == rank[x])
+                for x in range(1 << M.ground.n) if rank[x] == r - 1}
+        assert M.hyperplanes() == sorted(want)
+        seen["with hyperplanes" if want else "without"] += 1
+
+    check()
+    # a check over matroids without hyperplanes shows nothing
+    assert seen["with hyperplanes"] > 0, seen
+
+
 @SETTINGS
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 3]))
 def test_deflate_undoes_expand_up_to_relabelling(seed, t):

@@ -2,6 +2,7 @@
 and rank-below tangles, against the independent oracles."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -57,6 +58,70 @@ def test_branch_width_matches_the_oracles(M):
     want = bw_oracle(M) if M.ground.n <= 7 else bw_dp_oracle(M)
     assert value == want
     assert decomposition_width(M, deco) == value
+
+
+def sparse_paving(n, r, chs):
+    """The sparse paving matroid of rank r on n elements whose
+    circuit-hyperplanes are the r-sets chs, which meet pairwise in at
+    most r - 2 elements."""
+    labels = [str(i + 1) for i in range(n)]
+    return validate_axioms([((), 0)]
+                           + [([labels[i] for i in h], r - 1) for h in chs]
+                           + [(labels, r)], labels)
+
+
+def packing(cands, r):
+    """The r-sets of cands that meet every earlier kept one in at most
+    r - 2 elements."""
+    chosen = []
+    for c in cands:
+        if all(len(set(c) & set(h)) <= r - 2 for h in chosen):
+            chosen.append(c)
+    return chosen
+
+
+@st.composite
+def sparse_pavings(draw):
+    """A sparse paving matroid on 6..10 elements of rank 3 or 4, with the
+    first k sets of a greedy packing of shuffled r-sets."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(6, 10))
+    r = draw(st.sampled_from([3, 4]))
+    cands = list(combinations(range(n), r))
+    rng.shuffle(cands)
+    chs = packing(cands, r)
+    return sparse_paving(n, r, chs[:draw(st.integers(1, len(chs)))])
+
+
+@st.composite
+def representatives(draw):
+    """A random matroid on <= 10 elements restricted to one element of
+    each clonal class."""
+    M = random_matroid(random.Random(draw(st.integers(0, 2 ** 32 - 1))), 10)
+    keep = sum(c & -c for c in M.clonal_classes())
+    return M.delete(M.ground.full & ~keep)
+
+
+@settings(SETTINGS, max_examples=60)
+@given(st.one_of(sparse_pavings(), representatives()))
+def test_pruned_split_scan_matches_the_full_recursion(M):
+    # without clones the states are masks and the DP stops a state's
+    # splits at lambda(X)+1; the oracle scans every split
+    assume(OrbitSpace(M).radix2)
+    value, deco = branch_width_exact(M)
+    assert value == bw_dp_oracle(M)
+    assert decomposition_width(M, deco) == value
+
+
+def test_sparse_paving_branch_width_is_rank_plus_one():
+    # with n >= 3r + 3 the sets of rank below r form a tangle of order
+    # r + 1, and no set has lambda above r
+    n, r = 12, 3
+    M = sparse_paving(n, r, packing(combinations(range(n), r), r))
+    assert OrbitSpace(M).radix2
+    value, deco = branch_width_exact(M)
+    assert value == r + 1
+    assert decomposition_width(M, deco) == r + 1
 
 
 @SETTINGS
