@@ -51,7 +51,7 @@ from .errors import (
 )
 from .connectivity import flats_cover
 from .expansion import ExpansionMap
-from .orbits import OrbitSpace
+from .orbits import OrbitSpace, clonal_space
 
 DP_BUDGET = 18
 TANGLE_BUDGET = 20
@@ -226,7 +226,7 @@ def branch_width_exact(M: Matroid, budget: int = DP_BUDGET
                        ) -> Tuple[int, BranchDecomposition]:
     """Optimal width and a realizing decomposition, by count-vector DP."""
     n = M.ground.n
-    space = OrbitSpace(M)
+    space = clonal_space(M)
     cap = min(budget, 22)
     if space.pairs > 3 ** cap:
         raise BudgetExceeded(
@@ -499,7 +499,7 @@ def verify_tangle(M: Matroid, tangle: Tangle, threads: int = 1
     n = M.ground.n
     k = tangle.order
     if isinstance(tangle.members, RankBelow):
-        space = OrbitSpace(M)
+        space = clonal_space(M)
     else:
         space = OrbitSpace(M, [1 << i for i in range(n)])
     if space.count > 1 << TANGLE_BUDGET:

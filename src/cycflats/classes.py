@@ -191,24 +191,23 @@ def expansion_positroid_order(M: Matroid, order: Sequence[str], t: int
     return out, Mt, emap
 
 
-def presentation_matroid(P: Presentation) -> Matroid:
-    """The transversal matroid presented by P: a union of rank-1 matroids.
-
-    The rank-1 matroid for a set A has the elements of A mutually parallel
-    and everything else a loop (all loops when A is empty).
-    """
-    ground = P.ground
-    members = []
+def rank_one(ground: GroundSet, nonloops: int) -> Matroid:
+    """The rank-1 matroid on ground with the elements of nonloops mutually
+    parallel and everything else a loop (all loops when it is empty)."""
     full = ground.full
-    for a in P.sets:
-        if a == 0:
-            zee = [(full, 0)]
-        elif popcount(a) == 1:
-            zee = [(full & ~a, 0)]
-        else:
-            zee = [(full & ~a, 0), (full, 1)]
-        members.append(validate_axioms(zee, ground))
-    return matroid_union(members, ground=ground)
+    if nonloops == 0:
+        return validate_axioms([(full, 0)], ground)
+    zee = [(full & ~nonloops, 0)]
+    if popcount(nonloops) >= 2:
+        zee.append((full, 1))
+    return validate_axioms(zee, ground)
+
+
+def presentation_matroid(P: Presentation) -> Matroid:
+    """The transversal matroid presented by P: the union of the rank-1
+    matroids whose non-loop sets are the A_i."""
+    return matroid_union([rank_one(P.ground, a) for a in P.sets],
+                         ground=P.ground)
 
 
 def verify_presentation(M: Matroid, P: Presentation) -> bool:

@@ -1,7 +1,9 @@
 """Tutte and vertical connectivity, witnesses, and flat covers.
 
 Both connectivities are computed by one full scan of the connectivity
-function lambda(X) = r(X) + r(E-X) - r(M):
+function lambda(X) = r(X) + r(E-X) - r(M), over the count vectors of the
+clonal classes (orbits.OrbitSpace), which on a clone-free matroid are the
+2^n subsets:
 
   * Tutte connectivity tau is the least k such that some X has
     |X| >= k, |E-X| >= k and lambda(X) < k; equivalently the minimum of
@@ -29,11 +31,12 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import Matroid, is_uniform, popcount
+from .core import GroundSet, Matroid, is_uniform, popcount
 from .errors import BudgetExceeded, MatroidError
 from .expansion import expand
+from .orbits import clonal_space
 
-SCAN_BUDGET = 20
+SCAN_BUDGET = 20     # states, as a power of two
 INFINITE = None      # tau's "no k-separation exists" value
 
 
@@ -63,27 +66,35 @@ def _scan(M: Matroid, qualifier: str, threads: int = 1):
     """Minimal lambda(X)+1 over qualifying X, with smallest-mask witness.
 
     qualifier 'size' demands lambda(X) < min(|X|, |E-X|) (Tutte style),
-    'rank' demands lambda(X) < min(r(X), r(E-X)) (vertical style).
+    'rank' demands lambda(X) < min(r(X), r(E-X)) (vertical style).  Both
+    depend only on the count vector of X, so the scan runs over the
+    states of clonal_space(M); the smallest qualifying mask is the least
+    canonical set of a qualifying state of least lambda.
     """
     n = M.ground.n
-    if n > SCAN_BUDGET:
-        raise BudgetExceeded(
-            "connectivity scan over 2^%d subsets, budget is 2^%d"
-            % (n, SCAN_BUDGET))
     if n == 0:
         return None, None
-    ranks = M.rank_table(threads=threads)
-    lam = M.lam_table(threads=threads)
+    space = clonal_space(M)
+    if space.count > 1 << SCAN_BUDGET:
+        raise BudgetExceeded(
+            "connectivity scan over %d states, budget is 2^%d"
+            % (space.count, SCAN_BUDGET))
+    lam = space.lams(threads)
     if qualifier == "size":
-        sizes = np.bitwise_count(np.arange(1 << n, dtype=np.uint64))
+        sizes = np.bitwise_count(space.sets())
         bound = np.minimum(sizes, n - sizes)
     else:
-        bound = np.minimum(ranks, ranks[::-1])
+        ranks = space.ranks(threads)
+        bound = np.minimum(ranks, ranks[::-1], dtype=np.int16)
     qual = lam < bound
     if not qual.any():
         return None, None
     best = int(lam[qual].min())
-    at = int(np.nonzero(qual & (lam == best))[0][0])
+    hit = qual & (lam == best)
+    if space.radix2:
+        at = int(np.argmax(hit))
+    else:
+        at = int(space.sets()[hit].min())
     return best + 1, M.ground.labels_of(at)
 
 
@@ -101,11 +112,21 @@ def tutte_connectivity(M: Matroid, threads: int = 1) -> ConnectivityResult:
     return ConnectivityResult(value=value, witness=witness)
 
 
+def _without_loops(M: Matroid) -> Matroid:
+    """M delete its loops, on the lattice: every cyclic flat holds the
+    loops, and dropping them leaves a cyclic flat of the same rank."""
+    keep = [i for i in range(M.ground.n) if not M.loops >> i & 1]
+    ground = GroundSet([M.ground.labels[i] for i in keep])
+    zee = [(sum(1 << j for j, i in enumerate(keep) if a >> i & 1), r)
+           for a, r in M.zee]
+    return Matroid(ground, zee)
+
+
 def vertical_connectivity(M: Matroid, threads: int = 1) -> ConnectivityResult:
     """Vertical connectivity kappa(M); r(M) when no vertical separation."""
     value, witness = _scan(M, "rank", threads)
     if M.loops:
-        stripped = M.delete(M.loops)
+        stripped = _without_loops(M)
         v2, _ = _scan(stripped, "rank", threads)
         k1 = value if value is not None else M.rank_total
         k2 = v2 if v2 is not None else stripped.rank_total

@@ -51,6 +51,7 @@ from .errors import (
 MAX_GROUND = 62          # bitmask ground-set cap
 TABLE_BUDGET = 22        # largest n for which 2^n rank tables are built
 MINOR_BUDGET = 22        # largest surviving ground set for minors
+_CHUNK = 1 << 16         # masks ranked per vectorized slice
 
 
 def popcount(x: int) -> int:
@@ -109,13 +110,14 @@ class Matroid:
     """
 
     __slots__ = ("ground", "zee", "rank_total", "loops", "coloops",
-                 "_rank_cache", "_table")
+                 "_rank_cache", "_table", "_space", "__weakref__")
 
     def __init__(self, ground: GroundSet, zee: Sequence[tuple]):
         self.ground = ground
         self.zee = tuple(sorted(zee, key=lambda ar: _label_key(ground, ar[0])))
         self._rank_cache = {}
         self._table = None
+        self._space = None        # orbits.clonal_space
         least = self.zee[0][0]
         for a, _ in self.zee:
             least &= a
@@ -179,18 +181,23 @@ class Matroid:
             raise BudgetExceeded(
                 "rank table needs 2^%d entries, budget is 2^%d"
                 % (n, TABLE_BUDGET))
-        masks = np.arange(1 << n, dtype=np.uint64)
-        self._table = rank_of_mask_array(self, masks, threads=threads)
-        return self._table
+        table = np.empty(1 << n, dtype=np.int64)
+        for start in range(0, 1 << n, _CHUNK):
+            masks = np.arange(start, min(start + _CHUNK, 1 << n),
+                              dtype=np.uint64)
+            table[start:start + masks.size] = rank_of_mask_array(
+                self, masks, threads=threads)
+        self._table = table
+        return table
 
     def lam_table(self, threads: int = 1) -> np.ndarray:
-        """Vector of lambda(X) for every mask X.
+        """Vector of lambda(X) for every mask X, as int16.
 
         The complement of mask X is full - X, so reversing the rank table
         lines complements up with their partners.
         """
         t = self.rank_table(threads=threads)
-        lam = t + t[::-1]
+        lam = np.add(t, t[::-1], dtype=np.int16)
         lam -= self.rank_total
         return lam
 
@@ -311,14 +318,10 @@ class Matroid:
         the cyclic-flat representation that is exactly "the two elements lie
         in the same members of the family".
         """
-        sig = {}
-        for i in range(self.ground.n):
-            pattern = tuple((a >> i) & 1 for a, _ in self.zee)
-            sig.setdefault(pattern, 0)
-            sig[pattern] |= 1 << i
-        out = sorted(sig.values(),
-                     key=lambda msk: _label_key(self.ground, msk))
-        return out
+        parts = [self.ground.full] if self.ground.n else []
+        for a, _ in self.zee:
+            parts = [p for c in parts for p in (c & a, c & ~a) if p]
+        return sorted(parts, key=lambda msk: _label_key(self.ground, msk))
 
     # -- comparisons and conversions --------------------------------------
 
@@ -376,7 +379,7 @@ def rank_of_mask_array(M: Matroid, masks: np.ndarray,
     for a, r in M.zee:
         cand = np.bitwise_count(masks & np.uint64(M.ground.full & ~a))
         cand += np.uint8(r)
-        np.minimum(out, cand.astype(np.uint8), out=out)
+        np.minimum(out, cand, out=out)
     return out.astype(np.int64)
 
 

@@ -44,7 +44,8 @@ class ExpansionMap:
     """Bookkeeping for one t-expansion: blocks S_e and the label maps.
 
     blocks[e] lists the t expanded labels of base element e, with
-    blocks[e][0] == e.  exp_ground fixes the expanded label order
+    blocks[e][0] == e; block_masks[i] is the expanded mask of the block
+    of the i-th base element.  exp_ground fixes the expanded label order
     (block-concatenated in base order for expand(); the original order for
     a map recovered by deflate).
     """
@@ -61,32 +62,30 @@ class ExpansionMap:
             for lab in blk:
                 inv[lab] = e
         object.__setattr__(self, "inverse", inv)
+        index = self.exp_ground.index
+        object.__setattr__(self, "block_masks", tuple(
+            sum(1 << index[lab] for lab in self.blocks[e])
+            for e in self.base_ground.labels))
 
     def s_mask(self, base_mask: int) -> int:
         """Expanded mask S_X for a base mask X."""
         out = 0
-        for i, e in enumerate(self.base_ground.labels):
-            if base_mask >> i & 1:
-                for lab in self.blocks[e]:
-                    out |= 1 << self.exp_ground.index[lab]
+        while base_mask:
+            low = base_mask & -base_mask
+            out |= self.block_masks[low.bit_length() - 1]
+            base_mask ^= low
         return out
 
     def theta_mask(self, exp_mask: int) -> int:
         """theta(X) = set of base elements whose whole block is inside X."""
         out = 0
-        for i, e in enumerate(self.base_ground.labels):
-            blk = 0
-            for lab in self.blocks[e]:
-                blk |= 1 << self.exp_ground.index[lab]
+        for i, blk in enumerate(self.block_masks):
             if blk & ~exp_mask == 0:
                 out |= 1 << i
         return out
 
     def block_mask(self, e: str) -> int:
-        blk = 0
-        for lab in self.blocks[e]:
-            blk |= 1 << self.exp_ground.index[lab]
-        return blk
+        return self.block_masks[self.base_ground.index[e]]
 
     def to_json_dict(self) -> dict:
         return {

@@ -2,8 +2,12 @@
 
 The Tutte polynomial is computed by the corank-nullity sum over all
 subsets, T(M;x,y) = sum_A (x-1)^(r(M)-r(A)) (y-1)^(|A|-r(A)), collected
-into a (corank, nullity) histogram by vectorized chunks and then expanded
-into x,y coefficients with exact big integers.
+into a (corank, nullity) histogram and then expanded into x,y
+coefficients with exact big integers.  Corank and nullity depend only on
+the count vector of A over the clonal classes, so the histogram walks
+the states of orbits.OrbitSpace in vectorized slices, each state
+weighted by its prod C(s_c, x_c) sets in exact int64 (the counts reach
+2^62).
 
 The configuration of a coloop-free matroid is its unlabeled lattice of
 cyclic flats decorated with each flat's size and rank; it determines the
@@ -18,11 +22,12 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .core import Matroid, popcount, rank_of_mask_array
+from .core import (_CHUNK, TABLE_BUDGET, Matroid, popcount,
+                   rank_of_mask_array)
 from .errors import BudgetExceeded, HasColoops, MatroidError
+from .orbits import clonal_space
 
-TUTTE_BUDGET = 24
-_CHUNK = 1 << 20
+TUTTE_BUDGET = 24    # states, as a power of two
 
 
 class TuttePolynomial:
@@ -71,22 +76,33 @@ class TuttePolynomial:
 
 
 def tutte_polynomial(M: Matroid, threads: int = 1) -> TuttePolynomial:
-    """Exact Tutte polynomial by direct subset enumeration (n <= 24)."""
+    """Exact Tutte polynomial from the corank-nullity histogram of the
+    count-vector states (at most 2^TUTTE_BUDGET of them)."""
     n = M.ground.n
-    if n > TUTTE_BUDGET:
+    space = clonal_space(M)
+    if space.count > 1 << TUTTE_BUDGET:
         raise BudgetExceeded(
-            "Tutte enumeration over 2^%d subsets, budget is 2^%d"
-            % (n, TUTTE_BUDGET))
+            "Tutte histogram over %d states, budget is 2^%d"
+            % (space.count, TUTTE_BUDGET))
     R = M.rank_total
     nullmax = n - R
     hist = np.zeros((R + 1) * (nullmax + 1), dtype=np.int64)
-    total = 1 << n
-    for start in range(0, total, _CHUNK):
-        masks = np.arange(start, min(start + _CHUNK, total), dtype=np.uint64)
-        ranks = rank_of_mask_array(M, masks, threads=threads)
-        sizes = np.bitwise_count(masks).astype(np.int64)
-        key = (R - ranks) * (nullmax + 1) + (sizes - ranks)
-        hist += np.bincount(key, minlength=hist.size)
+    # past the table budget (clone-free n = 23, 24) each slice is ranked
+    table = space.ranks(threads) if space.count <= 1 << TABLE_BUDGET \
+        else None
+    for start in range(0, space.count, _CHUNK):
+        index = np.arange(start, min(start + _CHUNK, space.count),
+                          dtype=np.uint64)
+        sets = space.sets(index)
+        if table is None:
+            ranks = rank_of_mask_array(M, sets, threads=threads)
+        else:
+            ranks = table[start:start + index.size]
+        key = np.subtract(R, ranks, dtype=np.int16)
+        key *= nullmax + 1
+        key += np.bitwise_count(sets)
+        key -= ranks
+        np.add.at(hist, key, space.weights(index))
     coeffs: Dict[Tuple[int, int], int] = {}
     for a in range(R + 1):
         for b in range(nullmax + 1):

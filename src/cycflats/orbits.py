@@ -21,16 +21,21 @@ States are also numbered densely in mixed radix (s_c + 1) with the same
 class order.  The dense order is the packed order, and x -> s - x
 reverses it, just as reversing a 2^n table pairs each mask with its
 complement.
+
+clonal_space(M) keeps one space per matroid, so the tau/kappa scan, the
+Tutte histogram, the branch-width DP and the tangle checks of M share
+one state rank table; without clones it is the cached M.rank_table().
 """
 
 from __future__ import annotations
 
+import weakref
 from math import comb, prod
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .core import Matroid, popcount
+from .core import Matroid, popcount, rank_of_mask_array
 
 
 class OrbitSpace:
@@ -72,9 +77,16 @@ class OrbitSpace:
         # work of the branch-width recursion: ordered splits a + b = x
         # summed over all x, which is 3^n without clones
         self.pairs = prod(comb(s + 2, 2) for s in self.sizes)
+        # firsts[c][d]: mask of the first d elements of class c
+        self._firsts = []
+        for els in members:
+            firsts = [0]
+            for i in els:
+                firsts.append(firsts[-1] | 1 << i)
+            self._firsts.append(np.array(firsts, dtype=np.uint64))
         self._packed = None
         self._digits = None
-        self._idx = None
+        self._sets = None
         self._ranks = None
 
     # -- state tables ------------------------------------------------------
@@ -84,7 +96,8 @@ class OrbitSpace:
         if self._digits is None:
             st = np.array(self.strides, dtype=np.int64)[:, None]
             radix = np.array(self.sizes, dtype=np.int64)[:, None] + 1
-            self._digits = (self._index()[None, :] // st) % radix
+            index = np.arange(self.count, dtype=np.int64)
+            self._digits = (index[None, :] // st) % radix
         return self._digits
 
     def packed(self):
@@ -98,26 +111,63 @@ class OrbitSpace:
         return self._packed
 
     def ranks(self, threads: int = 1) -> np.ndarray:
-        """r(x) for every state, in dense order."""
-        M = self.M
+        """r(x) for every state, in dense order: the rank of its
+        canonical set."""
         if self.radix2:
-            return M.rank_table(threads=threads)
+            return self.M.rank_table(threads=threads)
         if self._ranks is None:
-            d = self.digits()
-            out = np.full(self.count, M.ground.n, dtype=np.int64)
-            for a, r in M.zee:
-                outside = np.array([0 if m & a else 1 for m in self.masks],
-                                   dtype=np.int64)
-                np.minimum(out, outside @ d + r, out=out)
-            self._ranks = out
+            self._ranks = rank_of_mask_array(self.M, self.sets(),
+                                             threads=threads)
         return self._ranks
 
     def lams(self, threads: int = 1) -> np.ndarray:
-        """lambda(x) for every state, in dense order."""
+        """lambda(x) for every state, in dense order, as int16."""
         if self.radix2:
             return self.M.lam_table(threads=threads)
         t = self.ranks(threads)
-        return t + t[::-1] - int(self.M.rank_total)
+        lam = np.add(t, t[::-1], dtype=np.int16)
+        lam -= self.M.rank_total
+        return lam
+
+    def sets(self, index: Optional[np.ndarray] = None) -> np.ndarray:
+        """The canonical set of each dense state number in index (the
+        first x_c elements of each class), as uint64 masks.  Among the
+        sets of a state it is the smallest mask.  Without index, the
+        sets of all states in dense order, kept when there are clones."""
+        if index is None:
+            if self.radix2:
+                return np.arange(self.count, dtype=np.uint64)
+            if self._sets is None:
+                # mixed radix: class c varies slowest among classes <= c
+                out = np.zeros(1, dtype=np.uint64)
+                for firsts in self._firsts:
+                    out = (firsts[:, None] | out[None, :]).ravel()
+                self._sets = out
+            return self._sets
+        index = index.astype(np.uint64, copy=False)
+        if self.radix2:
+            return index
+        out = np.zeros(index.shape, dtype=np.uint64)
+        for els, s, st, firsts in zip(self.members, self.sizes,
+                                      self.strides, self._firsts):
+            if s == 1:      # a 1-bit field: stride st is 2^j
+                j = st.bit_length() - 1
+                out |= (index >> np.uint64(j) & np.uint64(1)) \
+                    << np.uint64(els[0])
+            else:
+                out |= firsts[index // st % (s + 1)]
+        return out
+
+    def weights(self, index: np.ndarray) -> np.ndarray:
+        """The number of sets in each dense state in index,
+        prod C(s_c, x_c), as int64."""
+        out = np.ones(index.shape, dtype=np.int64)
+        for s, st in zip(self.sizes, self.strides):
+            if s > 1:
+                binom = np.array([comb(s, d) for d in range(s + 1)],
+                                 dtype=np.int64)
+                out *= binom[index // st % (s + 1)]
+        return out
 
     def by_state(self, values: np.ndarray):
         """values (dense order) as a lookup keyed by packed state."""
@@ -199,15 +249,10 @@ class OrbitSpace:
                     more -= 1
         return out
 
-    def _index(self) -> np.ndarray:
-        if self._idx is None:
-            self._idx = np.arange(self.count, dtype=np.int64)
-        return self._idx
-
     def above(self, index: int) -> np.ndarray:
         """Which states hold at least the counts of the state `index`."""
         if self.radix2:
-            return (self._index() & index) == index
+            return (np.arange(self.count) & index) == index
         d = self.digits()
         return (d >= d[:, [index]]).all(axis=0)
 
@@ -219,3 +264,15 @@ class OrbitSpace:
         s = np.array(self.sizes, dtype=np.int64)[:, None]
         rest = np.maximum(0, s - d[:, [x]] - d[:, ys])
         return np.array(self.strides, dtype=np.int64) @ rest
+
+
+def clonal_space(M: Matroid) -> OrbitSpace:
+    """OrbitSpace(M) over the clonal classes, built once and kept on M.
+
+    The kept space refers to M weakly: a strong reference would make a
+    cycle, and a dropped matroid's tables would wait for the cyclic
+    garbage collector instead of being freed at once.
+    """
+    if M._space is None:
+        M._space = OrbitSpace(weakref.proxy(M))
+    return M._space

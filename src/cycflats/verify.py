@@ -19,12 +19,12 @@ from .branchwidth import (BranchDecomposition, Tangle,
                           fan_decomposition, rank_bounded_family,
                           three_flats_cover_plus_two)
 from .classes import (expansion_positroid_order, is_positroid_order,
-                      positroid_search, presentation_matroid,
+                      positroid_search, presentation_matroid, rank_one,
                       verify_presentation)
 from .connectivity import (flats_cover, kappa_scaling_check,
                            tutte_connectivity, two_flats_cover_plus_one,
                            vertical_connectivity)
-from .core import GroundSet, Matroid, popcount, validate_axioms
+from .core import GroundSet, Matroid
 from .errors import MatroidError
 from .expansion import (Presentation, deflate_with_map, expand,
                         expand_presentation, expand_via_union, matroid_union)
@@ -284,15 +284,6 @@ def suite_bw(threads: int = 1,
     return rep
 
 
-def _rank1_on(ground: GroundSet, nonloops: int) -> Matroid:
-    if nonloops == 0:
-        return validate_axioms([(ground.full, 0)], ground)
-    zee = [(ground.full & ~nonloops, 0)]
-    if popcount(nonloops) >= 2:
-        zee.append((ground.full, 1))
-    return validate_axioms(zee, ground)
-
-
 def _composition_roundtrip(M: Matroid) -> bool:
     """expand(expand(M,2),2) matches expand(M,4), and deflating by 4
     recovers a matroid equal to M after a clone-respecting relabel."""
@@ -399,7 +390,7 @@ def suite_expansion_lemmas(seed: int = 0, trials: int = 200,
                 True, lambda M=M: _composition_roundtrip(M))
 
     M1 = catalog.get("fig1_M")
-    members = [_rank1_on(M1.ground, M1.ground.mask_of(s))
+    members = [rank_one(M1.ground, M1.ground.mask_of(s))
                for s in (["1", "2", "3"], ["4", "5", "6"],
                          ["1", "2", "3", "4", "5", "6"])]
     rep.run("union-decomposition", "fig1_M as a union of rank-1 matroids",

@@ -1,23 +1,28 @@
-"""Differential tests of the count-vector engine behind exact branch-width
-and rank-below tangles, against the independent oracles."""
+"""Differential tests of the count-vector engine behind exact branch-width,
+rank-below tangles, tau, kappa and the Tutte polynomial, against the
+independent oracles."""
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import cycflats.invariants
 from cycflats import (BudgetExceeded, Tangle, branch_width_exact,
                       decomposition_width, expand, popcount,
-                      rank_bounded_family, uniform, validate_axioms,
-                      verify_tangle)
+                      rank_bounded_family, tutte_connectivity,
+                      tutte_polynomial, uniform, validate_axioms,
+                      verify_tangle, vertical_connectivity)
 from cycflats.catalog import entries, get
 from cycflats.orbits import OrbitSpace
 from cycflats.verify import random_matroid
 
-from oracles import (bw_dp_oracle, bw_oracle, lambda_oracle,
-                     rank_below_tangle_oracle, rank_table_oracle)
+from oracles import (bw_dp_oracle, bw_oracle, kappa_oracle, lambda_oracle,
+                     rank_below_tangle_oracle, rank_table_oracle,
+                     tau_oracle, tutte_eval_oracle)
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.filter_too_much])
@@ -219,3 +224,91 @@ def test_budget_counts_split_pairs():
     # U(2,7) is one class of seven: 36 pairs
     assert branch_width_exact(uniform(2, 7), budget=4)[0] == 3
 
+
+
+# -- tau, kappa and the Tutte histogram on states ---------------------------
+
+TUTTE_POINTS = ((1, 1), (3, 2), (2, 5), (0, 3))
+
+
+def least_separation(M, rank, lam, vertical):
+    """(value, smallest qualifying mask) of the tau or kappa scan, read
+    off the oracle tables; (None, None) when nothing qualifies."""
+    n, full = M.ground.n, M.ground.full
+    best, at = None, None
+    for x in range(1 << n):
+        if vertical:
+            bound = min(rank[x], rank[full ^ x])
+        else:
+            bound = min(popcount(x), n - popcount(x))
+        if lam[x] < bound and (best is None or lam[x] < best):
+            best, at = lam[x], x
+    return (None, None) if best is None else (best + 1, at)
+
+
+def test_connectivity_and_tutte_match_the_oracles():
+    seen = Counter()
+
+    @settings(SETTINGS, max_examples=80)
+    @given(expansions())
+    def check(M):
+        rank = rank_table_oracle(M)
+        lam = lambda_oracle(M)
+        tau = tutte_connectivity(M)
+        kappa = vertical_connectivity(M)
+        assert tau.value == tau_oracle(M)
+        assert kappa.value == kappa_oracle(M)
+        for res, vertical in ((tau, False), (kappa, True)):
+            value, at = least_separation(M, rank, lam, vertical)
+            want = None if at is None else M.ground.labels_of(at)
+            assert res.witness == want
+        T = tutte_polynomial(M)
+        for x, y in TUTTE_POINTS:
+            assert T.evaluate(x, y) == tutte_eval_oracle(M, x, y)
+        if OrbitSpace(M).count < 1 << M.ground.n:
+            seen["clone-rich"] += 1
+        if tau.value is None:
+            seen["infinite tau"] += 1
+        if M.loops:
+            seen["looped"] += 1
+
+    check()
+    # the state scan, the uniform band and kappa's loop check must each
+    # have been reached
+    assert all(seen[k] for k in ("clone-rich", "infinite tau", "looped")), \
+        seen
+
+
+def test_four_fold_expansion_scales_tau_and_kappa():
+    M = get("fig2_M")
+    M4 = expand(M, 4)[0]
+    assert M4.ground.n == 36
+    tau = tutte_connectivity(M).value
+    assert tutte_connectivity(M4).value == 4 * (tau - 1) + 1 == 9
+    assert vertical_connectivity(M4).value == M4.rank_total == 12
+    assert tutte_polynomial(M4).evaluate(2, 2) == 1 << 36
+
+
+def test_clone_free_scans_keep_their_element_budget():
+    n, r = 21, 3
+    M = sparse_paving(n, r, packing(combinations(range(n), r), r))
+    assert OrbitSpace(M).radix2 and OrbitSpace(M).count > 1 << 20
+    with pytest.raises(BudgetExceeded):
+        tutte_connectivity(M)
+    with pytest.raises(BudgetExceeded):
+        vertical_connectivity(M)
+
+
+def test_sliced_tutte_histogram_matches_the_oracle(monkeypatch):
+    # past TABLE_BUDGET the histogram ranks each slice of states itself
+    monkeypatch.setattr(cycflats.invariants, "TABLE_BUDGET", 3)
+    monkeypatch.setattr(cycflats.invariants, "_CHUNK", 7)
+    n, r = 10, 3
+    F = sparse_paving(n, r, packing(combinations(range(n), r), r))
+    M2 = expand(get("fig1_N"), 2)[0]
+    assert OrbitSpace(F).radix2 and not OrbitSpace(M2).radix2
+    for M in (F, M2):
+        T = tutte_polynomial(M)
+        assert M._table is None
+        for x, y in TUTTE_POINTS:
+            assert T.evaluate(x, y) == tutte_eval_oracle(M, x, y)
