@@ -49,11 +49,8 @@ def _arc_constraints(M: Matroid) -> List[Tuple[int, List[int]]]:
         if popcount(f) < 2:
             continue
         quotient = M.contract(f)
-        comps = []
-        for comp in quotient.components():
-            if popcount(comp) < 2:
-                continue
-            comps.append(M.ground.mask_of(quotient.ground.labels_of(comp)))
+        comps = [M.ground.mask_of(quotient.ground.labels_of(c))
+                 for c in quotient.components() if popcount(c) >= 2]
         if comps:
             out.append((f, comps))
     return out

@@ -31,7 +31,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import GroundSet, Matroid, is_uniform, popcount
+from .core import Matroid, is_uniform, popcount
 from .errors import BudgetExceeded, MatroidError
 from .expansion import expand
 from .orbits import clonal_space
@@ -112,21 +112,11 @@ def tutte_connectivity(M: Matroid, threads: int = 1) -> ConnectivityResult:
     return ConnectivityResult(value=value, witness=witness)
 
 
-def _without_loops(M: Matroid) -> Matroid:
-    """M delete its loops, on the lattice: every cyclic flat holds the
-    loops, and dropping them leaves a cyclic flat of the same rank."""
-    keep = [i for i in range(M.ground.n) if not M.loops >> i & 1]
-    ground = GroundSet([M.ground.labels[i] for i in keep])
-    zee = [(sum(1 << j for j, i in enumerate(keep) if a >> i & 1), r)
-           for a, r in M.zee]
-    return Matroid(ground, zee)
-
-
 def vertical_connectivity(M: Matroid, threads: int = 1) -> ConnectivityResult:
     """Vertical connectivity kappa(M); r(M) when no vertical separation."""
     value, witness = _scan(M, "rank", threads)
     if M.loops:
-        stripped = _without_loops(M)
+        stripped = M.delete(M.loops)
         v2, _ = _scan(stripped, "rank", threads)
         k1 = value if value is not None else M.rank_total
         k2 = v2 if v2 is not None else stripped.rank_total

@@ -19,6 +19,8 @@ family of (set, rank) pairs, valid or not, the minimum formula gives
 so cl(X) is X plus the union of the attaining members and the cyclic part
 of X (X without the coloops of M|X) is X within their intersection.  One
 pass over the family yields the rank and both (Matroid._attaining).
+Duals, minors and components are built from these passes on the lattice
+alone, so no construction of a matroid builds a 2^n table.
 
 validate_axioms() is the only entry point that builds a Matroid from raw
 data.  It checks, in order: that the family has a least and a greatest
@@ -50,7 +52,6 @@ from .errors import (
 
 MAX_GROUND = 62          # bitmask ground-set cap
 TABLE_BUDGET = 22        # largest n for which 2^n rank tables are built
-MINOR_BUDGET = 22        # largest surviving ground set for minors
 _CHUNK = 1 << 16         # masks ranked per vectorized slice
 
 
@@ -204,12 +205,18 @@ class Matroid:
     # -- structure --------------------------------------------------------
 
     def dual(self):
-        """Dual matroid: complements of cyclic flats, corank function."""
+        """Dual matroid: complements of cyclic flats, corank function.
+
+        X is a cyclic flat of M exactly when E - X is a cyclic flat of
+        M*, and r*(E - X) = |E - X| + r(X) - r(M).  The complements of a
+        valid family, with these ranks, are therefore the family of the
+        matroid M*, which satisfies the axioms; no re-validation is needed.
+        """
         full = self.ground.full
         n = self.ground.n
         zee = [(full & ~a, (n - popcount(a)) + r - self.rank_total)
                for a, r in self.zee]
-        return validate_axioms(zee, self.ground)
+        return Matroid(self.ground, zee)
 
     def delete(self, mask: int):
         return self._minor(mask, 0)
@@ -223,54 +230,72 @@ class Matroid:
         return self._minor(delete_mask, contract_mask)
 
     def _minor(self, dmask: int, cmask: int):
-        gone = dmask | cmask
-        keep = [i for i in range(self.ground.n) if not gone >> i & 1]
-        m = len(keep)
-        if m > MINOR_BUDGET:
-            raise BudgetExceeded(
-                "minor recovery scans 2^%d subsets, budget is 2^%d"
-                % (m, MINOR_BUDGET))
-        sub = GroundSet([self.ground.labels[i] for i in keep])
-        small = np.arange(1 << m, dtype=np.uint64)
-        emb = np.zeros(1 << m, dtype=np.uint64)
-        for j, pos in enumerate(keep):
-            emb |= ((small >> np.uint64(j)) & np.uint64(1)) << np.uint64(pos)
-        base = self.rank(cmask)
-        table = rank_of_mask_array(self, emb | np.uint64(cmask)) - base
-        zee = zee_from_rank_table(table, m)
-        pairs = [(int(a), int(r)) for a, r in zee]
-        return validate_axioms(pairs, sub)
+        """M / cmask \\ dmask on the lattice, validated once.
+
+        Each rule takes one pass of the rank formula per cyclic flat Z:
+
+          Z(M\\X) = { cyc(Z - X) },  rank r(Z - X) minus its coloops;
+          Z(M/X) = { cl(Z | X) - X },  rank r(Z | X) - r(X).
+
+        Deletion: a cyclic flat Y of M\\X is cyclic in M, Z = cl(Y) is a
+        cyclic flat of M with Z - X = Y, so Y = cyc(Z - X); and the cyclic
+        part of a flat is a flat, since a coloop of M|F lies outside
+        cl(F - e).  Contraction is the same rule carried through
+        M/X = (M* \\ X)*: cyc* and cl* of a set are the complements of cl
+        and cyc of its complement.  The contraction keeps cmask as loops,
+        which lie in every cyclic flat, so the deletion runs on the same
+        ground set and both sets are dropped at the end.
+        """
+        M = self
+        if cmask:
+            base = self.rank(cmask)
+            zee = []
+            for a, _ in self.zee:
+                r, union, _ = self._attaining(a | cmask)
+                zee.append((a | cmask | union, r - base))
+            M = Matroid(self.ground, zee)
+        zee = []
+        for a, _ in M.zee:
+            rest = a & ~dmask
+            r, _, inter = M._attaining(rest)
+            zee.append((rest & inter, r - popcount(rest & ~inter)))
+        keep = [i for i in range(self.ground.n)
+                if not (dmask | cmask) >> i & 1]
+        flats = {sum(1 << j for j, i in enumerate(keep) if a >> i & 1): r
+                 for a, r in zee}
+        ground = GroundSet([self.ground.labels[i] for i in keep])
+        return validate_axioms(flats.items(), ground)
+
+    def _components(self, mask: int) -> list:
+        """Connected components of M|mask, ordered by lowest element.
+
+        Each non-loop e outside a greedy basis B of mask is joined with
+        the b in B on its fundamental circuit, those with r(B - b + e) =
+        r(B); the components are the classes of these joins, so loops and
+        coloops stay single.  O(|mask|^2) rank calls.
+        """
+        elems = [i for i in range(self.ground.n) if mask >> i & 1]
+        basis, rb = 0, 0
+        for i in elems:
+            if self.rank(basis | 1 << i) > rb:
+                basis |= 1 << i
+                rb += 1
+        comps = [1 << i for i in elems]
+        for e in elems:
+            if not (basis | self.loops) >> e & 1:
+                circuit = 1 << e | sum(
+                    1 << b for b in elems if basis >> b & 1
+                    and self.rank(basis ^ 1 << b | 1 << e) == rb)
+                comps = ([c for c in comps if not c & circuit]
+                         + [sum(c for c in comps if c & circuit)])
+        return sorted(comps, key=lambda c: c & -c)
 
     def components(self) -> list:
         """Connected components as masks (loops are singleton components)."""
-        n = self.ground.n
-        full = self.ground.full
-        if n == 0:
-            return []
-        lam = self.lam_table()
-        masks = np.arange(1 << n, dtype=np.uint64)
-        # a component is a minimal nonempty union of lambda=0 blocks;
-        # accumulate per element the intersection of all separators
-        # containing it.
-        zero = masks[(lam == 0)]
-        comps = []
-        seen = 0
-        for i in range(n):
-            if seen >> i & 1:
-                continue
-            bit = np.uint64(1 << i)
-            cand = zero[(zero & bit) != 0]
-            comp = full
-            for v in cand.tolist():
-                comp &= v
-            comps.append(comp)
-            seen |= comp
-        return comps
+        return self._components(self.ground.full)
 
     def is_connected(self) -> bool:
-        if self.ground.n <= 1:
-            return True
-        return len(self.components()) == 1
+        return len(self.components()) <= 1
 
     def connected_flats(self, proper: bool = True) -> list:
         """Connected flats with at least two elements, plus rank criteria.
@@ -284,20 +309,11 @@ class Matroid:
         if self.loops:
             raise HasLoops("connected flats are only computed for loopless "
                            "matroids")
-        out = []
-        for a, _ in self.zee:
-            if a == 0:
-                continue
-            if proper and a == self.ground.full:
-                continue
-            if restriction_is_connected(self, a):
-                out.append(a)
-        # singleton closures that are flats (no parallel partner, no loops)
-        for i in range(self.ground.n):
-            b = 1 << i
-            if self.closure(b) == b and (not proper or b != self.ground.full):
-                if b not in out:
-                    out.append(b)
+        singles = [1 << i for i in range(self.ground.n)
+                   if self.closure(1 << i) == 1 << i]
+        out = [a for a in [a for a, _ in self.zee if a] + singles
+               if not (proper and a == self.ground.full)
+               and len(self._components(a)) == 1]
         out.sort(key=lambda msk: _label_key(self.ground, msk))
         return out
 
@@ -318,10 +334,8 @@ class Matroid:
         the cyclic-flat representation that is exactly "the two elements lie
         in the same members of the family".
         """
-        parts = [self.ground.full] if self.ground.n else []
-        for a, _ in self.zee:
-            parts = [p for c in parts for p in (c & a, c & ~a) if p]
-        return sorted(parts, key=lambda msk: _label_key(self.ground, msk))
+        return sorted(refined(self.ground, [a for a, _ in self.zee]),
+                      key=lambda msk: _label_key(self.ground, msk))
 
     # -- comparisons and conversions --------------------------------------
 
@@ -363,6 +377,14 @@ class Matroid:
             self.ground.n, self.rank_total, len(self.zee))
 
 
+def refined(ground: GroundSet, cuts) -> list:
+    """The parts of the ground set that no mask in cuts splits."""
+    parts = [ground.full] if ground.n else []
+    for a in cuts:
+        parts = [p for c in parts for p in (c & a, c & ~a) if p]
+    return parts
+
+
 # -- vectorized helpers ----------------------------------------------------
 
 def rank_of_mask_array(M: Matroid, masks: np.ndarray,
@@ -381,42 +403,6 @@ def rank_of_mask_array(M: Matroid, masks: np.ndarray,
         cand += np.uint8(r)
         np.minimum(out, cand, out=out)
     return out.astype(np.int64)
-
-
-def zee_from_rank_table(table: np.ndarray, n: int) -> list:
-    """Recover the (mask, rank) pairs of cyclic flats from a full table."""
-    size = 1 << n
-    masks = np.arange(size, dtype=np.int64)
-    isflat = np.ones(size, dtype=bool)
-    iscyc = np.ones(size, dtype=bool)
-    for b in range(n):
-        bit = 1 << b
-        has = (masks & bit) != 0
-        wo = masks[~has]
-        isflat[~has] &= table[wo | bit] > table[wo]
-        wi = masks[has]
-        iscyc[has] &= table[wi ^ bit] == table[wi]
-    both = np.nonzero(isflat & iscyc)[0]
-    return [(int(i), int(table[i])) for i in both]
-
-
-def restriction_is_connected(M: Matroid, mask: int) -> bool:
-    """Is M restricted to mask connected?  Direct lambda scan on the
-    restriction's subsets, without constructing the minor."""
-    k = popcount(mask)
-    if k <= 1:
-        return True
-    bits = [i for i in range(M.ground.n) if mask >> i & 1]
-    total = M.rank(mask)
-    # lambda_{M|mask}(Y) = r(Y) + r(mask - Y) - r(mask)
-    for sub in range(1, 1 << (k - 1)):
-        y = 0
-        for j in range(k):
-            if sub >> j & 1:
-                y |= 1 << bits[j]
-        if M.rank(y) + M.rank(mask & ~y) - total == 0:
-            return False
-    return True
 
 
 # -- validation -------------------------------------------------------------

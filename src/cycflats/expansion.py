@@ -7,14 +7,17 @@ undoes the construction; matroid_union realizes
 
     r(X) = min { sum_i r_i(Y) + |X - Y| : Y subseteq X }
 
-by a per-bit min-plus sweep over the full rank table, and expand_via_union
-rebuilds M^t as a union of parallel-extended copies of a decomposition
-of M.
+on count vectors: elements that are clones in every member are clones in
+the union, so one min-plus sweep per class axis over the prod(s_c + 1)
+states of the common classes (orbits.OrbitSpace) computes it, and no 2^n
+table is built.  expand_via_union rebuilds M^t as a union of
+parallel-extended copies of a decomposition of M.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,8 +27,8 @@ from .core import (
     Matroid,
     popcount,
     rank_of_mask_array,
+    refined,
     validate_axioms,
-    zee_from_rank_table,
     MAX_GROUND,
 )
 from .errors import (
@@ -35,8 +38,9 @@ from .errors import (
     MatroidError,
     NotATExpansion,
 )
+from .orbits import OrbitSpace
 
-UNION_BUDGET = 20      # largest ground set for the 2^n union table
+STATE_BUDGET = 20      # union states, as a power of two
 
 
 @dataclass(frozen=True)
@@ -196,37 +200,69 @@ def _aligned(M: Matroid, ground: GroundSet) -> Matroid:
     return Matroid(ground, zee)
 
 
+def _check_states(count: int):
+    if count > 1 << STATE_BUDGET:
+        raise BudgetExceeded("union over %d states, budget is 2^%d"
+                             % (count, STATE_BUDGET))
+
+
 def matroid_union(members: Sequence[Matroid],
                   ground: Optional[GroundSet] = None) -> Matroid:
     """Union of matroids on a common ground set.
 
-    The union's rank of X is min over Y subseteq X of sum_i r_i(Y) plus
-    |X - Y|; the whole rank table is produced by one min-plus sweep per
-    bit, and the cyclic flats are read back off the table.
+    Over the count vectors of the common clonal classes, the union's rank
+    is sum_i r_i swept by g[d] = min(g[d], g[d-1] + 1), ascending d, along
+    each class axis.  A union of classes is a flat when one more element
+    of any absent class raises g, and cyclic when one element fewer of
+    any present class keeps it.
     """
     members = list(members)
     if ground is None:
         if not members:
             raise ValueError("empty union needs an explicit ground set")
         ground = members[0].ground
-    n = ground.n
-    if n > UNION_BUDGET:
-        raise BudgetExceeded(
-            "union table needs 2^%d entries, budget is 2^%d"
-            % (n, UNION_BUDGET))
-    aligned = [_aligned(Mi, ground) for Mi in members]
-    masks = np.arange(1 << n, dtype=np.uint64)
-    f = np.zeros(1 << n, dtype=np.int64)
-    for Mi in aligned:
-        f += rank_of_mask_array(Mi, masks)
-    g = f
-    idx = np.arange(1 << n, dtype=np.int64)
-    for b in range(n):
-        bit = 1 << b
-        has = np.nonzero(idx & bit)[0]
-        g[has] = np.minimum(g[has], g[has ^ bit] + 1)
-    zee = zee_from_rank_table(g, n)
+    # no members: the union is the rank-0 matroid, all loops
+    aligned = ([_aligned(Mi, ground) for Mi in members]
+               or [Matroid(ground, [(ground.full, 0)])])
+    space = OrbitSpace(aligned[0], refined(
+        ground, [a for Mi in aligned for a, _ in Mi.zee]))
+    _check_states(space.count)
+    sets = space.sets()
+    g = sum(rank_of_mask_array(Mi, sets) for Mi in aligned)
+    # dense order is mixed radix with class 0 fastest: its axis is last
+    cube = g.reshape([s + 1 for s in reversed(space.sizes)])
+    for c, s in enumerate(space.sizes):
+        axis = np.moveaxis(cube, cube.ndim - 1 - c, 0)
+        for d in range(1, s + 1):
+            axis[d] = np.minimum(axis[d], axis[d - 1] + 1)
+    idx = np.zeros(1, dtype=np.int64)      # the all-or-nothing states
+    for s, st in zip(space.sizes, space.strides):
+        idx = np.concatenate([idx, idx + s * st])
+    ok = np.ones(idx.size, dtype=bool)
+    for s, st in zip(space.sizes, space.strides):
+        present = idx // st % (s + 1) == s
+        step = g[np.where(present, idx - st, idx + st)]
+        ok &= np.where(present, step == g[idx], step > g[idx])
+    zee = [(int(a), int(r))
+           for a, r in zip(space.sets(idx[ok]), g[idx[ok]])]
     return validate_axioms(zee, ground)
+
+
+def _parallel_extension(Mi: Matroid, emap: ExpansionMap) -> Matroid:
+    """Mi on the expanded ground set with every new element parallel to
+    its base element, so copies of loops stay loops.  For t >= 2 every
+    element has a parallel partner or is a loop, so every flat is cyclic:
+    the cyclic flats are S_F for every flat F of Mi, with rank r_i(F).
+    The flats are listed by closure from cl(empty set)."""
+    seen, stack = set(), [Mi.closure(0)]
+    while stack:
+        x = stack.pop()
+        if x not in seen:
+            seen.add(x)
+            stack.extend(Mi.closure(x | 1 << i) for i in range(Mi.ground.n)
+                         if not x >> i & 1)
+    return Matroid(emap.exp_ground, [(emap.s_mask(x), Mi.rank(x))
+                                     for x in seen])
 
 
 def expand_via_union(M: Matroid, members: Sequence[Matroid],
@@ -234,10 +270,10 @@ def expand_via_union(M: Matroid, members: Sequence[Matroid],
     """Build M^t as a union of parallel-extended decomposition members.
 
     members must union to M (checked; DecompositionMismatch otherwise).
-    Each member contributes t copies on the expanded ground set, where a
-    copy's rank of Y is the member's rank of the set of base elements
-    whose block meets Y: every new element sits parallel to its base
-    element, and copies of loops stay loops.  The result is checked
+    Each member contributes t copies of its parallel extension (the
+    member itself when t = 1).  The clonal classes of an extension are
+    S_c for the classes c of elements with one closure, which fixes the
+    union's states before any flat is listed.  The result is checked
     against expand(M, t).
     """
     U = matroid_union(members, ground=M.ground)
@@ -245,24 +281,16 @@ def expand_via_union(M: Matroid, members: Sequence[Matroid],
         raise DecompositionMismatch(
             "the given members do not union to the matroid being expanded")
     Mt, emap = expand(M, t)
-    nt = emap.exp_ground.n
-    if nt > UNION_BUDGET:
-        raise BudgetExceeded(
-            "expanded union table needs 2^%d entries, budget is 2^%d"
-            % (nt, UNION_BUDGET))
-    exp_masks = np.arange(1 << nt, dtype=np.uint64)
-    pi = np.zeros(1 << nt, dtype=np.uint64)
-    for i, e in enumerate(M.ground.labels):
-        smask = np.uint64(emap.block_mask(e))
-        pi |= ((exp_masks & smask) != 0).astype(np.uint64) << np.uint64(i)
-    exp_members = []
-    for Mi in members:
-        Mi = _aligned(Mi, M.ground)
-        table = rank_of_mask_array(Mi, pi)
-        zee_i = zee_from_rank_table(table, nt)
-        Mexp = validate_axioms(zee_i, emap.exp_ground)
-        exp_members.extend([Mexp] * t)
-    R = matroid_union(exp_members, ground=emap.exp_ground)
+    members = [_aligned(Mi, M.ground) for Mi in members]
+    if t == 1:
+        exp_members = members
+    else:
+        parts = refined(M.ground, [Mi.closure(1 << i) for Mi in members
+                                    for i in range(M.ground.n)])
+        _check_states(prod(t * popcount(c) + 1 for c in parts))
+        exp_members = [_parallel_extension(Mi, emap) for Mi in members]
+    R = matroid_union([Mexp for Mexp in exp_members for _ in range(t)],
+                      ground=emap.exp_ground)
     if not R.equals(Mt):
         raise MatroidError(
             "internal check failed: union construction disagrees with "

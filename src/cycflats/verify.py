@@ -322,7 +322,6 @@ def suite_expansion_lemmas(seed: int = 0, trials: int = 200,
     rng = random.Random(seed)
     minor_trials = max(1, trials // 4)
     flat_trials = max(1, trials // 4)
-    cap = 16
     for name in catalog.names():
         M = catalog.get(name)
         n = M.ground.n
@@ -361,15 +360,10 @@ def suite_expansion_lemmas(seed: int = 0, trials: int = 200,
                     repro={"matroid": M.to_json_dict(), "t": t,
                            "seed": seed})
 
-            lo = max(1, n - cap // t)
-            hi = min(n - 1, cap // t)
-
-            def minors(M=M, Mt=Mt, emap=emap, t=t, lo=lo, hi=hi):
-                if lo > hi:
-                    return 0
+            def minors(M=M, Mt=Mt, emap=emap, t=t):
                 bad = 0
                 for _ in range(minor_trials):
-                    s = rng.randint(lo, hi)
+                    s = rng.randint(1, n - 1)
                     x = 0
                     for i in rng.sample(range(n), s):
                         x |= 1 << i
@@ -424,13 +418,15 @@ def suite_classes(threads: int = 1) -> VerificationReport:
         rep.run("presentation-verify", name, True,
                 lambda M=M, P=P: verify_presentation(M, P))
 
-        def expanded_presentation(M=M, P=P):
-            Mt, emap = expand(M, 2)
-            Pt = expand_presentation(P, emap)
-            return presentation_matroid(Pt).equals(Mt)
+        for t in range(2, 7):
 
-        rep.run("presentation-expansion", "expand(%s,2)" % name, True,
-                expanded_presentation)
+            def expanded_presentation(M=M, P=P, t=t):
+                Mt, emap = expand(M, t)
+                Pt = expand_presentation(P, emap)
+                return presentation_matroid(Pt).equals(Mt)
+
+            rep.run("presentation-expansion", "expand(%s,%d)" % (name, t),
+                    True, expanded_presentation)
     return rep
 
 

@@ -45,6 +45,73 @@ def lambda_oracle(M: Matroid):
     return [rank[x] + rank[full ^ x] - total for x in range(1 << M.ground.n)]
 
 
+def zee_oracle(rank, n: int):
+    """The (mask, rank) pairs of the cyclic flats read off a full rank
+    table: X is a flat when every added element raises the rank and
+    cyclic when no removed element lowers it."""
+    bits = [1 << i for i in range(n)]
+    out = []
+    for x in range(1 << n):
+        flat = all(rank[x | b] > rank[x] for b in bits if not x & b)
+        cyclic = all(rank[x ^ b] == rank[x] for b in bits if x & b)
+        if flat and cyclic:
+            out.append((x, rank[x]))
+    return out
+
+
+def minor_oracle(M: Matroid, delete: int, contract: int):
+    """The cyclic flats of M / contract \\ delete as a set of
+    (frozenset of labels, rank), from the minor's rank table
+    r'(Y) = r(Y | contract) - r(contract) on the surviving elements."""
+    rank = rank_table_oracle(M)
+    keep = [i for i in range(M.ground.n)
+            if not (delete | contract) >> i & 1]
+    table = []
+    for y in range(1 << len(keep)):
+        big = sum(1 << keep[j] for j in range(len(keep)) if y >> j & 1)
+        table.append(rank[big | contract] - rank[contract])
+    labels = [M.ground.labels[i] for i in keep]
+    return {(frozenset(labels[j] for j in range(len(keep)) if a >> j & 1),
+             r) for a, r in zee_oracle(table, len(keep))}
+
+
+def components_oracle(M: Matroid):
+    """Connected components as masks, by lowest element: e and f share a
+    component when every separator (lambda = 0) holding e holds f."""
+    lam = lambda_oracle(M)
+    n = M.ground.n
+    seps = [x for x in range(1 << n) if lam[x] == 0]
+    out = []
+    for e in range(n):
+        if any(c >> e & 1 for c in out):
+            continue
+        out.append(sum(1 << f for f in range(n)
+                       if all(x >> f & 1 for x in seps if x >> e & 1)))
+    return out
+
+
+def connected_flats_oracle(M: Matroid, proper: bool = True):
+    """The nonempty flats X (X != E when proper) with no split into
+    nonempty Y and X - Y with r(Y) + r(X - Y) = r(X), as a set of
+    masks."""
+    rank = rank_table_oracle(M)
+    n = M.ground.n
+    full = (1 << n) - 1
+    out = set()
+    for x in range(1, full + 1):
+        if proper and x == full:
+            continue
+        if any(rank[x | 1 << i] == rank[x] for i in range(n)
+               if not x >> i & 1):
+            continue
+        y = (x - 1) & x
+        while y and rank[y] + rank[x ^ y] != rank[x]:
+            y = (y - 1) & x
+        if not y:
+            out.add(x)
+    return out
+
+
 def tutte_eval_oracle(M: Matroid, x: int, y: int) -> int:
     """T(M; x, y) as the direct corank-nullity subset sum."""
     rank = rank_table_oracle(M)

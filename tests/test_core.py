@@ -14,10 +14,10 @@ from cycflats import (
     uniform,
     validate_axioms,
 )
-from cycflats.core import is_uniform, zee_from_rank_table
+from cycflats.core import is_uniform
 from cycflats.catalog import get
 
-from oracles import rank_table_oracle
+from oracles import rank_table_oracle, zee_oracle
 
 
 def _m(labels, flats):
@@ -340,6 +340,6 @@ def test_uniform_matroid_shapes():
 def test_zee_from_rank_table_recovers_lattice():
     for name in ("fig1_N", "fig2_M"):
         m = get(name)
-        zee = zee_from_rank_table(m.rank_table(), m.ground.n)
+        zee = zee_oracle(rank_table_oracle(m), m.ground.n)
         rebuilt = validate_axioms(zee, m.ground)
         assert rebuilt.equals(m)

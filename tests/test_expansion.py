@@ -306,6 +306,9 @@ def test_presentation_matroid_examples():
     mq = presentation_matroid(q)
     assert mq.rank(mq.ground.full) == 1
     assert mq.loops == mq.ground.mask_of({"2"})
+    # no sets: every element is a loop
+    empty = presentation_matroid(Presentation.from_labels([], ["1", "2"]))
+    assert empty.equals(uniform(0, 2, ("1", "2")))
 
 
 def test_presentations_of_catalog_entries_present_them():
