@@ -4,6 +4,9 @@ A matroid is stored as its ground set plus the lattice of cyclic flats
 with their ranks; everything else (rank function, duals, minors, Tutte
 polynomials, connectivity, branch-width, t-expansions, positroid orders,
 transversal presentations) is computed from that data.
+
+The ``threads`` keyword that some functions still take is ignored; it
+stays only so that existing callers keep working.
 """
 
 from .core import (GroundSet, Matroid, from_json, from_json_dict,

@@ -508,8 +508,8 @@ def verify_tangle(M: Matroid, tangle: Tangle, threads: int = 1
             % (space.count, TANGLE_BUDGET))
     if k < 1:
         return False, {"axiom": "order", "detail": "order must be >= 1"}
-    ranks = space.ranks(threads)
-    lam = space.lams(threads)
+    ranks = space.ranks()
+    lam = space.lams()
     memb = _member_table(space, tangle.members, ranks)
 
     def labels(mask: int):
@@ -606,7 +606,7 @@ def branch_width_certified(M: Matroid, upper: BranchDecomposition,
                            ) -> WidthCertificate:
     """Verify both halves and combine them into a WidthCertificate."""
     width = decomposition_width(M, upper)
-    ok, witness = verify_tangle(M, lower, threads=threads)
+    ok, witness = verify_tangle(M, lower)
     if not ok:
         raise InvalidTangle("tangle verification failed: %r" % (witness,))
     if lower.order > width:

@@ -15,9 +15,9 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from . import catalog
-from .branchwidth import (BranchDecomposition, Tangle, branch_width_certified,
-                          branch_width_exact, rank_bounded_family,
-                          verify_tangle)
+from .branchwidth import (DP_BUDGET, BranchDecomposition, Tangle,
+                          branch_width_certified, branch_width_exact,
+                          rank_bounded_family, verify_tangle)
 from .classes import (is_positroid_order, positroid_search,
                       presentation_matroid, verify_presentation)
 from .connectivity import (flats_cover, tutte_connectivity,
@@ -52,10 +52,10 @@ _GLOBALS = (
     ("--seed", {"type": int, "metavar": "N",
                 "help": "seed for randomized suites (default 0)"}),
     ("--threads", {"type": int, "metavar": "N",
-                   "help": "worker threads for table scans (default 1)"}),
+                   "help": "accepted and ignored"}),
     ("--budget", {"metavar": "SPEC",
                   "help": "exact:<n> raises the exact-DP element cap; "
-                          "certify keeps certificate mode"}),
+                          "certify is accepted and ignored"}),
 )
 
 
@@ -210,15 +210,15 @@ def _parse_labels(text: str) -> List[str]:
     return [part.strip() for part in text.split(",")]
 
 
-def _parse_budget(args) -> Optional[dict]:
+def _parse_budget(args) -> Optional[int]:
+    """The exact-DP element cap of --budget exact:<n>; None without one.
+    certify is accepted and changes nothing."""
     raw = getattr(args, "budget", None)
-    if raw is None:
+    if raw is None or raw == "certify":
         return None
-    if raw == "certify":
-        return {"mode": "certify"}
     if raw.startswith("exact:"):
         try:
-            return {"mode": "exact", "n": int(raw.split(":", 1)[1])}
+            return int(raw.split(":", 1)[1])
         except ValueError:
             pass
     raise UsageError("bad --budget %r: expected exact:<n> or certify" % raw)
@@ -262,7 +262,7 @@ def cmd_rank(args) -> Tuple[int, object]:
 
 def cmd_tutte(args) -> Tuple[int, object]:
     M = _resolve(args.matroid, args)
-    return 0, tutte_polynomial(M, threads=args.threads).to_json_dict()
+    return 0, tutte_polynomial(M).to_json_dict()
 
 
 def cmd_config(args) -> Tuple[int, object]:
@@ -301,12 +301,12 @@ def cmd_union(args) -> Tuple[int, object]:
 
 def cmd_tau(args) -> Tuple[int, object]:
     M = _resolve(args.matroid, args)
-    return 0, tutte_connectivity(M, threads=args.threads).to_json_dict()
+    return 0, tutte_connectivity(M).to_json_dict()
 
 
 def cmd_kappa(args) -> Tuple[int, object]:
     M = _resolve(args.matroid, args)
-    return 0, vertical_connectivity(M, threads=args.threads).to_json_dict()
+    return 0, vertical_connectivity(M).to_json_dict()
 
 
 def cmd_flats_cover(args) -> Tuple[int, object]:
@@ -319,7 +319,7 @@ def cmd_flats_cover(args) -> Tuple[int, object]:
 
 def cmd_bw(args) -> Tuple[int, object]:
     M = _resolve(args.matroid, args)
-    budget = _parse_budget(args)
+    cap = _parse_budget(args)
     if args.certify:
         if args.exact:
             raise UsageError("--exact and --certify are mutually exclusive")
@@ -330,15 +330,11 @@ def cmd_bw(args) -> Tuple[int, object]:
         c, k = _parse_rank_lt(args.lower, 2)
         tangle = Tangle(order=k, members=rank_bounded_family(M, c))
         try:
-            cert = branch_width_certified(M, D, tangle,
-                                          threads=args.threads)
+            cert = branch_width_certified(M, D, tangle)
         except InvalidTangle as ex:
             return 2, {"certified": False, "reason": str(ex)}
         return 0, cert.to_json_dict()
-    kw = {}
-    if budget is not None and budget["mode"] == "exact":
-        kw["budget"] = budget["n"]
-    value, D = branch_width_exact(M, **kw)
+    value, D = branch_width_exact(M, DP_BUDGET if cap is None else cap)
     return 0, {"value": value, "decomposition": D.to_json_dict()}
 
 
@@ -346,7 +342,7 @@ def cmd_tangle_verify(args) -> Tuple[int, object]:
     M = _resolve(args.matroid, args)
     (c,) = _parse_rank_lt(args.family, 1)
     tangle = Tangle(order=args.order, members=rank_bounded_family(M, c))
-    ok, witness = verify_tangle(M, tangle, threads=args.threads)
+    ok, witness = verify_tangle(M, tangle)
     return (0 if ok else 2), {"valid": ok, "order": args.order,
                               "family": tangle.members.describe(),
                               "witness": _jsonable(witness)}
@@ -390,17 +386,13 @@ def cmd_verify(args) -> Tuple[int, object]:
         if not args.verify_matroid:
             raise UsageError("--theorem needs --matroid")
         M = _resolve(args.verify_matroid, args)
-        report = run_theorem(args.theorem, M, args.verify_matroid, args.t,
-                             threads=args.threads)
+        report = run_theorem(args.theorem, M, args.verify_matroid, args.t)
     else:
         if args.trials < 1:
             raise UsageError("--trials must be at least 1, got %d"
                              % args.trials)
-        budget = _parse_budget(args)
-        exact_budget = (budget["n"] if budget
-                        and budget["mode"] == "exact" else None)
         report = run_suite(args.suite, seed=args.seed, trials=args.trials,
-                           threads=args.threads, exact_budget=exact_budget)
+                           exact_budget=_parse_budget(args))
     code = 0 if report.passed else 2
     if args.pretty:
         return code, "\n".join(report.format_lines())

@@ -62,7 +62,7 @@ class ConnectivityResult:
         }
 
 
-def _scan(M: Matroid, qualifier: str, threads: int = 1):
+def _scan(M: Matroid, qualifier: str):
     """Minimal lambda(X)+1 over qualifying X, with smallest-mask witness.
 
     qualifier 'size' demands lambda(X) < min(|X|, |E-X|) (Tutte style),
@@ -79,12 +79,12 @@ def _scan(M: Matroid, qualifier: str, threads: int = 1):
         raise BudgetExceeded(
             "connectivity scan over %d states, budget is 2^%d"
             % (space.count, SCAN_BUDGET))
-    lam = space.lams(threads)
+    lam = space.lams()
     if qualifier == "size":
         sizes = np.bitwise_count(space.sets())
         bound = np.minimum(sizes, n - sizes)
     else:
-        ranks = space.ranks(threads)
+        ranks = space.ranks()
         bound = np.minimum(ranks, ranks[::-1], dtype=np.int16)
     qual = lam < bound
     if not qual.any():
@@ -100,7 +100,7 @@ def _scan(M: Matroid, qualifier: str, threads: int = 1):
 
 def tutte_connectivity(M: Matroid, threads: int = 1) -> ConnectivityResult:
     """Tutte connectivity tau(M); INFINITE when no k-separation exists."""
-    value, witness = _scan(M, "size", threads)
+    value, witness = _scan(M, "size")
     uni = is_uniform(M)
     char_infinite = uni is not None and uni[1] in (2 * uni[0] - 1,
                                                    2 * uni[0],
@@ -114,10 +114,10 @@ def tutte_connectivity(M: Matroid, threads: int = 1) -> ConnectivityResult:
 
 def vertical_connectivity(M: Matroid, threads: int = 1) -> ConnectivityResult:
     """Vertical connectivity kappa(M); r(M) when no vertical separation."""
-    value, witness = _scan(M, "rank", threads)
+    value, witness = _scan(M, "rank")
     if M.loops:
         stripped = M.delete(M.loops)
-        v2, _ = _scan(stripped, "rank", threads)
+        v2, _ = _scan(stripped, "rank")
         k1 = value if value is not None else M.rank_total
         k2 = v2 if v2 is not None else stripped.rank_total
         if k1 != k2:
@@ -208,8 +208,8 @@ def kappa_scaling_check(M: Matroid, t: int, threads: int = 1
     Mt, _ = expand(M, t)
     out = []
 
-    tau = tutte_connectivity(M, threads)
-    tau_t = tutte_connectivity(Mt, threads)
+    tau = tutte_connectivity(M)
+    tau_t = tutte_connectivity(Mt)
     if tau.is_infinite:
         out.append(ScalingCheck(
             name="tau", applicable=False,
@@ -224,8 +224,8 @@ def kappa_scaling_check(M: Matroid, t: int, threads: int = 1
             expected=t * (tau.value - 1) + 1,
             computed=tau_t.value))
 
-    kap = vertical_connectivity(M, threads)
-    kap_t = vertical_connectivity(Mt, threads)
+    kap = vertical_connectivity(M)
+    kap_t = vertical_connectivity(Mt)
     if kap.value >= M.rank_total:
         out.append(ScalingCheck(
             name="kappa", applicable=False,

@@ -186,8 +186,7 @@ class Matroid:
         for start in range(0, 1 << n, _CHUNK):
             masks = np.arange(start, min(start + _CHUNK, 1 << n),
                               dtype=np.uint64)
-            table[start:start + masks.size] = rank_of_mask_array(
-                self, masks, threads=threads)
+            table[start:start + masks.size] = rank_of_mask_array(self, masks)
         self._table = table
         return table
 
@@ -197,7 +196,7 @@ class Matroid:
         The complement of mask X is full - X, so reversing the rank table
         lines complements up with their partners.
         """
-        t = self.rank_table(threads=threads)
+        t = self.rank_table()
         lam = np.add(t, t[::-1], dtype=np.int16)
         lam -= self.rank_total
         return lam
@@ -387,16 +386,9 @@ def refined(ground: GroundSet, cuts) -> list:
 
 # -- vectorized helpers ----------------------------------------------------
 
-def rank_of_mask_array(M: Matroid, masks: np.ndarray,
-                       threads: int = 1) -> np.ndarray:
+def rank_of_mask_array(M: Matroid, masks: np.ndarray) -> np.ndarray:
     """Evaluate the cyclic-flat rank formula on an array of masks."""
     masks = masks.astype(np.uint64, copy=False)
-    if threads > 1 and masks.size >= (1 << 16):
-        from concurrent.futures import ThreadPoolExecutor
-        chunks = np.array_split(masks, threads)
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(lambda c: rank_of_mask_array(M, c), chunks))
-        return np.concatenate(parts)
     out = np.full(masks.shape, 255, dtype=np.uint8)
     for a, r in M.zee:
         cand = np.bitwise_count(masks & np.uint64(M.ground.full & ~a))
@@ -523,6 +515,7 @@ def validate_axioms(flats, ground) -> Matroid:
                                 sorted(ground.labels_of(y)),
                                 sorted(ground.labels_of(mt))),
                     witness=(ground.labels_of(x), ground.labels_of(y)))
+            # kept as a guard for outside input, as validate_oracle keeps it
             bad = down[i] & down[j] & ~down[km]
             if bad:
                 z = recs[(bad & -bad).bit_length() - 1][0]

@@ -88,14 +88,13 @@ def tutte_polynomial(M: Matroid, threads: int = 1) -> TuttePolynomial:
     nullmax = n - R
     hist = np.zeros((R + 1) * (nullmax + 1), dtype=np.int64)
     # past the table budget (clone-free n = 23, 24) each slice is ranked
-    table = space.ranks(threads) if space.count <= 1 << TABLE_BUDGET \
-        else None
+    table = space.ranks() if space.count <= 1 << TABLE_BUDGET else None
     for start in range(0, space.count, _CHUNK):
         index = np.arange(start, min(start + _CHUNK, space.count),
                           dtype=np.uint64)
         sets = space.sets(index)
         if table is None:
-            ranks = rank_of_mask_array(M, sets, threads=threads)
+            ranks = rank_of_mask_array(M, sets)
         else:
             ranks = table[start:start + index.size]
         key = np.subtract(R, ranks, dtype=np.int16)

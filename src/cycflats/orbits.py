@@ -110,21 +110,20 @@ class OrbitSpace:
                 self._packed = (self.digits() << offs).sum(axis=0).tolist()
         return self._packed
 
-    def ranks(self, threads: int = 1) -> np.ndarray:
+    def ranks(self) -> np.ndarray:
         """r(x) for every state, in dense order: the rank of its
         canonical set."""
         if self.radix2:
-            return self.M.rank_table(threads=threads)
+            return self.M.rank_table()
         if self._ranks is None:
-            self._ranks = rank_of_mask_array(self.M, self.sets(),
-                                             threads=threads)
+            self._ranks = rank_of_mask_array(self.M, self.sets())
         return self._ranks
 
-    def lams(self, threads: int = 1) -> np.ndarray:
+    def lams(self) -> np.ndarray:
         """lambda(x) for every state, in dense order, as int16."""
         if self.radix2:
-            return self.M.lam_table(threads=threads)
-        t = self.ranks(threads)
+            return self.M.lam_table()
+        t = self.ranks()
         lam = np.add(t, t[::-1], dtype=np.int16)
         lam -= self.M.rank_total
         return lam

@@ -136,25 +136,25 @@ def random_matroid(rng: random.Random, max_n: int = 6) -> Matroid:
     return M
 
 
-def suite_figures(threads: int = 1) -> VerificationReport:
+def suite_figures() -> VerificationReport:
     rep = VerificationReport("figures")
     m1a, m1b = catalog.get("fig1_M"), catalog.get("fig1_N")
     m2a, m2b = catalog.get("fig2_M"), catalog.get("fig2_N")
     m3a, m3b = catalog.get("fig3_M"), catalog.get("fig3_N")
     rep.run("tau", "fig1_M", 2,
-            lambda: tutte_connectivity(m1a, threads).value)
+            lambda: tutte_connectivity(m1a).value)
     rep.run("tau", "fig1_N", 3,
-            lambda: tutte_connectivity(m1b, threads).value)
+            lambda: tutte_connectivity(m1b).value)
     rep.run("kappa", "fig1_M", 2,
-            lambda: vertical_connectivity(m1a, threads).value)
+            lambda: vertical_connectivity(m1a).value)
     rep.run("kappa", "fig1_N", 3,
-            lambda: vertical_connectivity(m1b, threads).value)
+            lambda: vertical_connectivity(m1b).value)
     rep.run("bw-exact", "fig2_M", 3, lambda: branch_width_exact(m2a)[0])
     rep.run("bw-exact", "fig2_N", 4, lambda: branch_width_exact(m2b)[0])
     rep.run("kappa", "fig3_M", 3,
-            lambda: vertical_connectivity(m3a, threads).value)
+            lambda: vertical_connectivity(m3a).value)
     rep.run("kappa", "fig3_N", 3,
-            lambda: vertical_connectivity(m3b, threads).value)
+            lambda: vertical_connectivity(m3b).value)
     rep.run("config-isomorphic", "fig1_M vs fig1_N", True,
             lambda: config_isomorphic(configuration(m1a),
                                       configuration(m1b))[0])
@@ -162,12 +162,11 @@ def suite_figures(threads: int = 1) -> VerificationReport:
             lambda: config_isomorphic(configuration(m2a),
                                       configuration(m2b))[0])
     rep.run("tutte-equal", "fig1_M vs fig1_N", True,
-            lambda: tutte_polynomial(m1a, threads)
-            == tutte_polynomial(m1b, threads))
+            lambda: tutte_polynomial(m1a) == tutte_polynomial(m1b))
     return rep
 
 
-def suite_tau(threads: int = 1) -> VerificationReport:
+def suite_tau() -> VerificationReport:
     rep = VerificationReport("tau")
     M = catalog.get("fig1_M")
     N = catalog.get("fig1_N")
@@ -175,17 +174,17 @@ def suite_tau(threads: int = 1) -> VerificationReport:
         Mt, _ = expand(M, t)
         Nt, _ = expand(N, t)
         rep.run("tau-scaling", "expand(fig1_M,%d)" % t, t + 1,
-                lambda Mt=Mt: tutte_connectivity(Mt, threads).value)
+                lambda Mt=Mt: tutte_connectivity(Mt).value)
         rep.run("tau-scaling", "expand(fig1_N,%d)" % t, 2 * t + 1,
-                lambda Nt=Nt: tutte_connectivity(Nt, threads).value)
+                lambda Nt=Nt: tutte_connectivity(Nt).value)
         rep.run("tau-gap", "fig1 pair, t=%d" % t, t,
                 lambda Mt=Mt, Nt=Nt:
-                tutte_connectivity(Nt, threads).value
-                - tutte_connectivity(Mt, threads).value)
+                tutte_connectivity(Nt).value
+                - tutte_connectivity(Mt).value)
     return rep
 
 
-def suite_kappa(threads: int = 1) -> VerificationReport:
+def suite_kappa() -> VerificationReport:
     rep = VerificationReport("kappa")
     M = catalog.get("fig1_M")
     N = catalog.get("fig1_N")
@@ -193,17 +192,17 @@ def suite_kappa(threads: int = 1) -> VerificationReport:
         Mt, _ = expand(M, t)
         Nt, _ = expand(N, t)
         rep.run("kappa-scaling", "expand(fig1_M,%d)" % t, t + 1,
-                lambda Mt=Mt: vertical_connectivity(Mt, threads).value)
+                lambda Mt=Mt: vertical_connectivity(Mt).value)
         rep.run("kappa-scaling", "expand(fig1_N,%d)" % t, 2 * t + 1,
-                lambda Nt=Nt: vertical_connectivity(Nt, threads).value)
+                lambda Nt=Nt: vertical_connectivity(Nt).value)
     N2, _ = expand(N, 2)
     rep.run("kappa", "expand(fig1_N,2)", 5,
-            lambda: vertical_connectivity(N2, threads).value)
+            lambda: vertical_connectivity(N2).value)
     P, _ = expand(catalog.get("fig3_N"), 2)
     rep.run("kappa", "expand(fig3_N,2)", 6,
-            lambda: vertical_connectivity(P, threads).value)
+            lambda: vertical_connectivity(P).value)
     rep.run("kappa-equals-rank", "expand(fig3_N,2)", True,
-            lambda: vertical_connectivity(P, threads).value == P.rank_total)
+            lambda: vertical_connectivity(P).value == P.rank_total)
 
     Q3 = catalog.get("fig3_M")
     Qt, emap = expand(Q3, 2)
@@ -219,7 +218,7 @@ def suite_kappa(threads: int = 1) -> VerificationReport:
             "expand(fig3_M,2): blocks of {1,2,3} plus one copy of 6", True,
             witness_is_vertical_5_separation)
     rep.run("kappa-below-rank", "expand(fig3_M,2)", True,
-            lambda: vertical_connectivity(Qt, threads).value
+            lambda: vertical_connectivity(Qt).value
             < Qt.rank_total)
     return rep
 
@@ -241,8 +240,7 @@ def _expanded_fan(Nt: Matroid, emap) -> BranchDecomposition:
     return fan_decomposition([arm1, arm2, arm3])
 
 
-def suite_bw(threads: int = 1,
-             exact_budget: Optional[int] = None) -> VerificationReport:
+def suite_bw(exact_budget: Optional[int] = None) -> VerificationReport:
     rep = VerificationReport("bw")
     M = catalog.get("fig2_M")
     N = catalog.get("fig2_N")
@@ -259,8 +257,7 @@ def suite_bw(threads: int = 1,
 
     def cert_m():
         cert = branch_width_certified(
-            Mt, D5, Tangle(order=5, members=rank_bounded_family(Mt, 4)),
-            threads=threads)
+            Mt, D5, Tangle(order=5, members=rank_bounded_family(Mt, 4)))
         return (cert.exact, cert.value)
 
     rep.run("bw-certified", "expand(fig2_M,2)", (True, 5), cert_m)
@@ -270,8 +267,7 @@ def suite_bw(threads: int = 1,
 
     def cert_n():
         cert = branch_width_certified(
-            Nt, fan, Tangle(order=6, members=rank_bounded_family(Nt, 5)),
-            threads=threads)
+            Nt, fan, Tangle(order=6, members=rank_bounded_family(Nt, 5)))
         return (cert.exact, cert.value)
 
     rep.run("bw-certified", "expand(fig2_N,2)", (True, 6), cert_n)
@@ -316,8 +312,8 @@ def _composition_roundtrip(M: Matroid) -> bool:
     return d.relabel(back).equals(M)
 
 
-def suite_expansion_lemmas(seed: int = 0, trials: int = 200,
-                           threads: int = 1) -> VerificationReport:
+def suite_expansion_lemmas(seed: int = 0, trials: int = 200
+                           ) -> VerificationReport:
     rep = VerificationReport("expansion-lemmas")
     rng = random.Random(seed)
     minor_trials = max(1, trials // 4)
@@ -395,7 +391,7 @@ def suite_expansion_lemmas(seed: int = 0, trials: int = 200,
     return rep
 
 
-def suite_classes(threads: int = 1) -> VerificationReport:
+def suite_classes() -> VerificationReport:
     rep = VerificationReport("classes")
     for name in ("fig1_M", "fig1_N", "fig2_M"):
         M = catalog.get(name)
@@ -430,8 +426,7 @@ def suite_classes(threads: int = 1) -> VerificationReport:
     return rep
 
 
-def suite_equivalences(seed: int = 0, trials: int = 200,
-                       threads: int = 1) -> VerificationReport:
+def suite_equivalences(seed: int = 0, trials: int = 200) -> VerificationReport:
     rep = VerificationReport("equivalences")
     rng = random.Random(seed)
     sample = [random_matroid(rng, 6) for _ in range(trials)]
@@ -443,7 +438,7 @@ def suite_equivalences(seed: int = 0, trials: int = 200,
             for i, M in enumerate(sample):
                 lhs = two_flats_cover_plus_one(M)[0]
                 Mt, _ = expand(M, t)
-                rhs = (vertical_connectivity(Mt, threads).value
+                rhs = (vertical_connectivity(Mt).value
                        < Mt.rank_total)
                 if lhs != rhs:
                     failures.append({"index": i,
@@ -496,22 +491,19 @@ def suite_equivalences(seed: int = 0, trials: int = 200,
 
 def run_suite(name: str, seed: int = 0, trials: int = 200, threads: int = 1,
               exact_budget: Optional[int] = None) -> VerificationReport:
-    if name == "figures":
-        return suite_figures(threads)
-    if name == "tau":
-        return suite_tau(threads)
-    if name == "kappa":
-        return suite_kappa(threads)
-    if name == "bw":
-        return suite_bw(threads, exact_budget)
-    if name == "expansion-lemmas":
-        return suite_expansion_lemmas(seed, trials, threads)
-    if name == "classes":
-        return suite_classes(threads)
-    if name == "equivalences":
-        return suite_equivalences(seed, trials, threads)
-    raise ValueError("unknown suite %r; have %s"
-                     % (name, ", ".join(SUITE_NAMES)))
+    suites = {
+        "figures": suite_figures,
+        "tau": suite_tau,
+        "kappa": suite_kappa,
+        "bw": lambda: suite_bw(exact_budget),
+        "expansion-lemmas": lambda: suite_expansion_lemmas(seed, trials),
+        "classes": suite_classes,
+        "equivalences": lambda: suite_equivalences(seed, trials),
+    }
+    if name not in suites:
+        raise ValueError("unknown suite %r; have %s"
+                         % (name, ", ".join(SUITE_NAMES)))
+    return suites[name]()
 
 
 def run_theorem(theorem: str, M: Matroid, instance: str, t: int,
@@ -522,7 +514,7 @@ def run_theorem(theorem: str, M: Matroid, instance: str, t: int,
     side = "tau" if theorem == "tau-scaling" else "kappa"
     rep = VerificationReport("theorem:%s" % theorem)
     t0 = time.perf_counter()
-    chk = [c for c in kappa_scaling_check(M, t, threads) if c.name == side][0]
+    chk = [c for c in kappa_scaling_check(M, t) if c.name == side][0]
     dt = time.perf_counter() - t0
     if chk.applicable:
         rep.checks.append(CheckResult(

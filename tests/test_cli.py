@@ -274,3 +274,15 @@ def test_randomized_suite_is_deterministic():
         runs.append([(c["id"], c["instance"], str(c["expected"]),
                       str(c["computed"]), c["passed"]) for c in d["checks"]])
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("command", [("tau", "fig1_N"),
+                                     ("bw", "--exact", "fig2_N")])
+def test_ignored_flags_leave_output_unchanged(command):
+    command = list(command)
+    code, out, _ = run_cli(*command)
+    assert code == 0 and out
+    for args in (["--threads", "4"] + command, command + ["--threads", "4"],
+                 ["--budget", "certify"] + command,
+                 command + ["--budget", "certify"]):
+        assert run_cli(*args)[:2] == (code, out), args

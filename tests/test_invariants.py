@@ -5,16 +5,25 @@ import pytest
 
 from cycflats import (
     HasColoops,
+    Tangle,
     TuttePolynomial,
+    branch_width_certified,
     config_isomorphic,
     configuration,
     expand,
+    kappa_scaling_check,
     popcount,
+    rank_bounded_family,
+    run_suite,
+    run_theorem,
+    tutte_connectivity,
     tutte_polynomial,
     uniform,
     validate_axioms,
+    verify_tangle,
+    vertical_connectivity,
 )
-from cycflats.catalog import entries, get
+from cycflats.catalog import entries, get, three_lines_tree
 
 from oracles import basis_count_oracle, rank_table_oracle, tutte_eval_oracle
 
@@ -179,7 +188,40 @@ def test_same_configuration_forces_same_tutte():
     assert _terms(tutte_polynomial(ma2)) == _terms(tutte_polynomial(mb2))
 
 
-def test_threaded_tutte_matches_serial():
-    m = get("fig2_M")
-    assert _terms(tutte_polynomial(m, threads=4)) == _terms(
-        tutte_polynomial(m, threads=1))
+def _tangle(M, c, k):
+    return Tangle(order=k, members=rank_bounded_family(M, c))
+
+
+def _checks(report):
+    return [(c.check_id, c.instance, c.expected, c.computed, c.passed)
+            for c in report.checks]
+
+
+# Every public function that still accepts the ignored threads keyword.
+_THREADED_CALLS = {
+    "rank_table": lambda th: get("fig2_M").rank_table(threads=th).tolist(),
+    "lam_table": lambda th: get("fig2_M").lam_table(threads=th).tolist(),
+    "tutte_polynomial": lambda th: _terms(tutte_polynomial(get("fig2_M"),
+                                                           threads=th)),
+    "tutte_connectivity": lambda th: tutte_connectivity(
+        get("fig1_N"), threads=th).to_json_dict(),
+    "vertical_connectivity": lambda th: vertical_connectivity(
+        get("fig3_M"), threads=th).to_json_dict(),
+    "kappa_scaling_check": lambda th: [c.to_json_dict() for c in
+                                       kappa_scaling_check(get("fig1_N"), 2,
+                                                           threads=th)],
+    "verify_tangle": lambda th: verify_tangle(
+        get("fig2_M"), _tangle(get("fig2_M"), 2, 3), threads=th),
+    "branch_width_certified": lambda th: branch_width_certified(
+        get("fig2_M"), three_lines_tree(), _tangle(get("fig2_M"), 2, 3),
+        threads=th).to_json_dict(),
+    "run_suite": lambda th: _checks(run_suite("figures", threads=th)),
+    "run_theorem": lambda th: _checks(run_theorem(
+        "tau-scaling", get("fig1_N"), "fig1_N", 2, threads=th)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_THREADED_CALLS))
+def test_threads_keyword_is_ignored(name):
+    call = _THREADED_CALLS[name]
+    assert call(4) == call(1)
