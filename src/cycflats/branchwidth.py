@@ -14,17 +14,19 @@ branch_width_exact runs the dynamic program
 
 whose top value g(E) is the branch-width.  lambda and g depend only on
 how many elements of each clonal class X holds, so the program runs on
-count vectors (orbits.OrbitSpace): a split of state x is a state a <= x
-with complement x - a, and an optimal decomposition is rebuilt by
-handing each side the first elements of every class.  The splits of x
-are scanned only until one has max(g(A), g(B)) <= lambda(X)+1, since
-no split can bring g(X) lower, and the tree takes the first split of
-least width scanned.  The worst-case work is the number of split pairs,
-prod over classes of C(s_c+2, 2); without clones that is 3^n and the
-states are the 2^n masks.  The budget is stated in that work: budget=b
-allows as many pairs as an n = b clone-free matroid, so t-expansions
-run far beyond 18 elements: fig2_M^4 has n = 36 but three classes of
-12, hence 91^3 (under 3^13) pairs.
+count vectors (orbits.OrbitSpace).  g, lambda and the chosen splits are
+lists indexed by the dense state number; a split of state x is a state
+a <= x with complement x - a, both numbered the same way, and an optimal
+decomposition is rebuilt by handing each side the first elements of
+every class.  The splits of x are scanned by descending number only
+until one has max(g(A), g(B)) <= lambda(X)+1, since no split can bring
+g(X) lower, and the tree takes the first split of least width scanned.
+The worst-case work is the number of split pairs, prod over classes of
+C(s_c+2, 2); without clones that is 3^n and the states are the 2^n
+masks.  The budget is stated in that work: budget=b allows as many
+pairs as an n = b clone-free matroid, so t-expansions run far beyond
+18 elements: fig2_M^4 has n = 36 but three classes of 12, hence 91^3
+(under 3^13) pairs.
 
 Beyond the budget, a width is certified: an explicit decomposition gives
 the upper bound, and a verified tangle of order k gives the lower bound k
@@ -51,10 +53,9 @@ from .errors import (
 )
 from .connectivity import flats_cover
 from .expansion import ExpansionMap
-from .orbits import OrbitSpace, clonal_space
+from .orbits import OrbitSpace, check_states, clonal_space
 
 DP_BUDGET = 18
-TANGLE_BUDGET = 20
 
 
 # -- branch decompositions --------------------------------------------------
@@ -238,21 +239,24 @@ def branch_width_exact(M: Matroid, budget: int = DP_BUDGET
         return 0, BranchDecomposition.build([], [], {})
     if n == 1:
         return 1, BranchDecomposition.build(["v0"], [], {labels[0]: "v0"})
-    lam = space.by_state(space.lams())
-    g = space.table()
-    split = space.table()
-    keep, below = space.borrows()
+    lam = space.lams().tolist()
+    g = [0] * space.count
+    split = [0] * space.count
     lo = space.lo
+    # (stride, next stride) of each wide class, lowest first
+    wide = [(st, st * (s + 1)) for s, st in zip(space.sizes, space.strides)
+            if s > 1]
     big = n + 2
     # Splits a + b = x are enumerated as a descending, stopping once
-    # a < b.  The 1-bit fields step as submasks, (a - 1) & x; the wide
-    # fields step in mixed radix, refilling the fields under the borrow
-    # from x.  Without clones only the first branch runs.  No split can
-    # bring g(x) below lambda(x)+1, so the scan stops at the first split
-    # that reaches it.
-    for x in space.packed()[1:]:
+    # a < b.  The one-element classes are the low bits lo and step as
+    # submasks, (a - 1) & x; the wide part ah steps down in mixed radix:
+    # the lowest wide class holding a count loses one, and the classes
+    # under it refill from x.  Without clones only the first branch
+    # runs.  No split can bring g(x) below lambda(x)+1, so the scan stops
+    # at the first split that reaches it.
+    for x in range(1, space.count):
         xl = x & lo
-        xh = x ^ xl
+        xh = x - xl
         ah = xh
         xm = x
         sub = x
@@ -263,8 +267,10 @@ def branch_width_exact(M: Matroid, budget: int = DP_BUDGET
             if sub != ah:
                 sub = (sub - 1) & xm
             elif ah:
-                b = ah & -ah
-                ah = ((ah - 1) & keep[b]) | (xh & below[b])
+                for st, nxt in wide:
+                    if ah % nxt:
+                        break
+                ah += xh % st - st
                 sub = xm = ah | xl
             else:
                 break
@@ -285,7 +291,7 @@ def branch_width_exact(M: Matroid, budget: int = DP_BUDGET
     ids = _Ids("v")
     edges: List[Tuple[str, str]] = []
     leaf_labels: Dict[str, str] = {}
-    full = space.full
+    full = space.count - 1
     top = split[full]
     T = space.take(top, M.ground.full)
     grow = (space, split, labels, ids, edges, leaf_labels)
@@ -502,10 +508,7 @@ def verify_tangle(M: Matroid, tangle: Tangle, threads: int = 1
         space = clonal_space(M)
     else:
         space = OrbitSpace(M, [1 << i for i in range(n)])
-    if space.count > 1 << TANGLE_BUDGET:
-        raise BudgetExceeded(
-            "tangle verification scans %d states, budget is 2^%d"
-            % (space.count, TANGLE_BUDGET))
+    check_states(space.count, "tangle verification")
     if k < 1:
         return False, {"axiom": "order", "detail": "order must be >= 1"}
     ranks = space.ranks()

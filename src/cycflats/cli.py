@@ -319,7 +319,6 @@ def cmd_flats_cover(args) -> Tuple[int, object]:
 
 def cmd_bw(args) -> Tuple[int, object]:
     M = _resolve(args.matroid, args)
-    cap = _parse_budget(args)
     if args.certify:
         if args.exact:
             raise UsageError("--exact and --certify are mutually exclusive")
@@ -334,7 +333,8 @@ def cmd_bw(args) -> Tuple[int, object]:
         except InvalidTangle as ex:
             return 2, {"certified": False, "reason": str(ex)}
         return 0, cert.to_json_dict()
-    value, D = branch_width_exact(M, DP_BUDGET if cap is None else cap)
+    cap = DP_BUDGET if args.exact_cap is None else args.exact_cap
+    value, D = branch_width_exact(M, cap)
     return 0, {"value": value, "decomposition": D.to_json_dict()}
 
 
@@ -392,7 +392,7 @@ def cmd_verify(args) -> Tuple[int, object]:
             raise UsageError("--trials must be at least 1, got %d"
                              % args.trials)
         report = run_suite(args.suite, seed=args.seed, trials=args.trials,
-                           exact_budget=_parse_budget(args))
+                           exact_budget=args.exact_cap)
     code = 0 if report.passed else 2
     if args.pretty:
         return code, "\n".join(report.format_lines())
@@ -411,6 +411,7 @@ _HANDLERS = {
     "kappa": cmd_kappa,
     "flats-cover": cmd_flats_cover,
     "bw": cmd_bw,
+    "tangle": cmd_tangle_verify,
     "positroid-check": cmd_positroid_check,
     "positroid-search": cmd_positroid_search,
     "presentation-verify": cmd_presentation_verify,
@@ -422,10 +423,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "tangle":
-            code, payload = cmd_tangle_verify(args)
-        else:
-            code, payload = _HANDLERS[args.command](args)
+        args.exact_cap = _parse_budget(args)
+        code, payload = _HANDLERS[args.command](args)
     except UsageError as ex:
         print("cycflats: error: %s" % ex, file=sys.stderr)
         return 64

@@ -34,9 +34,8 @@ import numpy as np
 from .core import Matroid, is_uniform, popcount
 from .errors import BudgetExceeded, MatroidError
 from .expansion import expand
-from .orbits import clonal_space
+from .orbits import check_states, clonal_space
 
-SCAN_BUDGET = 20     # states, as a power of two
 INFINITE = None      # tau's "no k-separation exists" value
 
 
@@ -75,10 +74,7 @@ def _scan(M: Matroid, qualifier: str):
     if n == 0:
         return None, None
     space = clonal_space(M)
-    if space.count > 1 << SCAN_BUDGET:
-        raise BudgetExceeded(
-            "connectivity scan over %d states, budget is 2^%d"
-            % (space.count, SCAN_BUDGET))
+    check_states(space.count, "connectivity scan")
     lam = space.lams()
     if qualifier == "size":
         sizes = np.bitwise_count(space.sets())
@@ -91,10 +87,7 @@ def _scan(M: Matroid, qualifier: str):
         return None, None
     best = int(lam[qual].min())
     hit = qual & (lam == best)
-    if space.radix2:
-        at = int(np.argmax(hit))
-    else:
-        at = int(space.sets()[hit].min())
+    at = int(space.sets(np.flatnonzero(hit)).min())
     return best + 1, M.ground.labels_of(at)
 
 

@@ -191,15 +191,8 @@ class Matroid:
         return table
 
     def lam_table(self, threads: int = 1) -> np.ndarray:
-        """Vector of lambda(X) for every mask X, as int16.
-
-        The complement of mask X is full - X, so reversing the rank table
-        lines complements up with their partners.
-        """
-        t = self.rank_table()
-        lam = np.add(t, t[::-1], dtype=np.int16)
-        lam -= self.rank_total
-        return lam
+        """Vector of lambda(X) for every mask X, as int16."""
+        return lam_of_ranks(self.rank_table(), self.rank_total)
 
     # -- structure --------------------------------------------------------
 
@@ -395,6 +388,15 @@ def rank_of_mask_array(M: Matroid, masks: np.ndarray) -> np.ndarray:
         cand += np.uint8(r)
         np.minimum(out, cand, out=out)
     return out.astype(np.int64)
+
+
+def lam_of_ranks(ranks: np.ndarray, rank_total: int) -> np.ndarray:
+    """lambda = r(X) + r(E-X) - r(M) of a rank table in which reversal
+    pairs each entry with its complement (masks, or count-vector states
+    x -> s - x), as int16."""
+    lam = np.add(ranks, ranks[::-1], dtype=np.int16)
+    lam -= rank_total
+    return lam
 
 
 # -- validation -------------------------------------------------------------

@@ -38,9 +38,7 @@ from .errors import (
     MatroidError,
     NotATExpansion,
 )
-from .orbits import OrbitSpace
-
-STATE_BUDGET = 20      # union states, as a power of two
+from .orbits import OrbitSpace, check_states
 
 
 @dataclass(frozen=True)
@@ -200,12 +198,6 @@ def _aligned(M: Matroid, ground: GroundSet) -> Matroid:
     return Matroid(ground, zee)
 
 
-def _check_states(count: int):
-    if count > 1 << STATE_BUDGET:
-        raise BudgetExceeded("union over %d states, budget is 2^%d"
-                             % (count, STATE_BUDGET))
-
-
 def matroid_union(members: Sequence[Matroid],
                   ground: Optional[GroundSet] = None) -> Matroid:
     """Union of matroids on a common ground set.
@@ -226,7 +218,7 @@ def matroid_union(members: Sequence[Matroid],
                or [Matroid(ground, [(ground.full, 0)])])
     space = OrbitSpace(aligned[0], refined(
         ground, [a for Mi in aligned for a, _ in Mi.zee]))
-    _check_states(space.count)
+    check_states(space.count, "union")
     sets = space.sets()
     g = sum(rank_of_mask_array(Mi, sets) for Mi in aligned)
     # dense order is mixed radix with class 0 fastest: its axis is last
@@ -287,7 +279,7 @@ def expand_via_union(M: Matroid, members: Sequence[Matroid],
     else:
         parts = refined(M.ground, [Mi.closure(1 << i) for Mi in members
                                     for i in range(M.ground.n)])
-        _check_states(prod(t * popcount(c) + 1 for c in parts))
+        check_states(prod(t * popcount(c) + 1 for c in parts), "union")
         exp_members = [_parallel_extension(Mi, emap) for Mi in members]
     R = matroid_union([Mexp for Mexp in exp_members for _ in range(t)],
                       ground=emap.exp_ground)

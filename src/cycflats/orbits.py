@@ -11,16 +11,17 @@ families are therefore functions of the count vector x (a *state*), and
 a scan over the prod(s_c + 1) states replaces a scan over the 2^n
 subsets.  t-expansions give every class at least t elements.
 
-A state is packed into bit fields, one per class, each just wide enough
-for 0..s_c.  One-element classes come first with 1-bit fields, ordered by
-element index; wider fields sit above them.  On a clone-free matroid
-every class is one element, so the packed state is the bitmask of the
-set and every table below is the plain 2^n table.
-
-States are also numbered densely in mixed radix (s_c + 1) with the same
-class order.  The dense order is the packed order, and x -> s - x
-reverses it, just as reversing a 2^n table pairs each mask with its
+A state is numbered densely, in mixed radix (s_c + 1): class c has stride
+prod over earlier classes of (s_c' + 1).  One-element classes come
+first, ordered by element index, so their digits are the low bits of
+the number, with strides 2^j.  On a clone-free matroid every class is
+one element, so the number of a state is the bitmask of the set and
+every table below is the plain 2^n table.  x -> s - x reverses the
+numbering, just as reversing a 2^n table pairs each mask with its
 complement.
+
+Scans over many states (tau/kappa, tangle checks, unions) stop above
+2^STATE_BUDGET states; check_states is that one check.
 
 clonal_space(M) keeps one space per matroid, so the tau/kappa scan, the
 Tutte histogram, the branch-width DP and the tangle checks of M share
@@ -35,7 +36,18 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .core import Matroid, popcount, rank_of_mask_array
+from .core import Matroid, lam_of_ranks, popcount, rank_of_mask_array
+from .errors import BudgetExceeded
+
+STATE_BUDGET = 20      # states of one scan, as a power of two
+
+
+def check_states(count: int, what: str):
+    """Raise BudgetExceeded when `what` would visit more than
+    2^STATE_BUDGET states."""
+    if count > 1 << STATE_BUDGET:
+        raise BudgetExceeded("%s over %d states, budget is 2^%d"
+                             % (what, count, STATE_BUDGET))
 
 
 class OrbitSpace:
@@ -56,20 +68,15 @@ class OrbitSpace:
         self.members: List[List[int]] = members
         self.masks = [sum(1 << i for i in els) for els in members]
         self.sizes = [len(els) for els in members]
-        self.widths = [s.bit_length() for s in self.sizes]
-        self.offsets = []
         self.strides = []
-        off, stride = 0, 1
-        for s, w in zip(self.sizes, self.widths):
-            self.offsets.append(off)
+        stride = 1
+        for s in self.sizes:
             self.strides.append(stride)
-            off += w
             stride *= s + 1
         self.count = stride                   # number of states
         self.radix2 = len(members) == n       # clone-free layout
-        self.full = sum(s << o for s, o in zip(self.sizes, self.offsets))
-        self.lo = sum(1 << o for s, o in zip(self.sizes, self.offsets)
-                      if s == 1)
+        # the digits of the one-element classes, the low bits of a number
+        self.lo = (1 << self.sizes.count(1)) - 1
         self.class_of = [0] * n
         for c, els in enumerate(members):
             for i in els:
@@ -84,7 +91,6 @@ class OrbitSpace:
             for i in els:
                 firsts.append(firsts[-1] | 1 << i)
             self._firsts.append(np.array(firsts, dtype=np.uint64))
-        self._packed = None
         self._digits = None
         self._sets = None
         self._ranks = None
@@ -100,16 +106,6 @@ class OrbitSpace:
             self._digits = (index[None, :] // st) % radix
         return self._digits
 
-    def packed(self):
-        """Packed value of every state in dense order (ascending)."""
-        if self._packed is None:
-            if self.radix2:
-                self._packed = range(self.count)
-            else:
-                offs = np.array(self.offsets, dtype=np.int64)[:, None]
-                self._packed = (self.digits() << offs).sum(axis=0).tolist()
-        return self._packed
-
     def ranks(self) -> np.ndarray:
         """r(x) for every state, in dense order: the rank of its
         canonical set."""
@@ -121,12 +117,7 @@ class OrbitSpace:
 
     def lams(self) -> np.ndarray:
         """lambda(x) for every state, in dense order, as int16."""
-        if self.radix2:
-            return self.M.lam_table()
-        t = self.ranks()
-        lam = np.add(t, t[::-1], dtype=np.int16)
-        lam -= self.M.rank_total
-        return lam
+        return lam_of_ranks(self.ranks(), self.M.rank_total)
 
     def sets(self, index: Optional[np.ndarray] = None) -> np.ndarray:
         """The canonical set of each dense state number in index (the
@@ -146,10 +137,12 @@ class OrbitSpace:
         index = index.astype(np.uint64, copy=False)
         if self.radix2:
             return index
+        if self._sets is not None:
+            return self._sets[index]
         out = np.zeros(index.shape, dtype=np.uint64)
         for els, s, st, firsts in zip(self.members, self.sizes,
                                       self.strides, self._firsts):
-            if s == 1:      # a 1-bit field: stride st is 2^j
+            if s == 1:      # a one-element class: stride st is 2^j
                 j = st.bit_length() - 1
                 out |= (index >> np.uint64(j) & np.uint64(1)) \
                     << np.uint64(els[0])
@@ -168,42 +161,14 @@ class OrbitSpace:
                 out *= binom[index // st % (s + 1)]
         return out
 
-    def by_state(self, values: np.ndarray):
-        """values (dense order) as a lookup keyed by packed state."""
-        if self.radix2:
-            return values.tolist()
-        return dict(zip(self.packed(), values.tolist()))
-
-    def table(self):
-        """An empty lookup keyed by packed state."""
-        return [0] * self.count if self.radix2 else {}
-
-    def borrows(self):
-        """Tables for stepping the wide fields down in mixed radix.
-
-        For a power of two b inside a wide field f, keep[b] masks the wide
-        fields from f upward and below[b] the wide fields under f.
-        """
-        keep, below = {}, {}
-        under = 0
-        for s, w, o in zip(self.sizes, self.widths, self.offsets):
-            if s == 1:
-                continue
-            field = ((1 << w) - 1) << o
-            for j in range(w):
-                below[1 << (o + j)] = under
-            under |= field
-        for b, m in below.items():
-            keep[b] = under & ~m
-        return keep, below
-
     # -- states and concrete sets -------------------------------------------
 
-    def take(self, state: int, within: int) -> int:
-        """The first x_c elements of each class inside `within`."""
+    def take(self, index: int, within: int) -> int:
+        """The first x_c elements of each class inside `within`, for the
+        state with dense number `index`."""
         out = 0
-        for els, w, o in zip(self.members, self.widths, self.offsets):
-            need = (state >> o) & ((1 << w) - 1)
+        for els, s, st in zip(self.members, self.sizes, self.strides):
+            need = index // st % (s + 1)
             for i in els:
                 if not need:
                     break

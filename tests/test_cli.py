@@ -286,3 +286,15 @@ def test_ignored_flags_leave_output_unchanged(command):
                  ["--budget", "certify"] + command,
                  command + ["--budget", "certify"]):
         assert run_cli(*args)[:2] == (code, out), args
+
+
+@pytest.mark.parametrize("command", [("tau", "fig1_N"),
+                                     ("validate", "fig1_N"),
+                                     ("bw", "fig2_M")])
+def test_bad_budget_is_a_usage_error_for_every_command(command):
+    command = list(command)
+    bad = ["--budget", "exact:bogus"]
+    for args in (bad + command, command + bad):
+        code, out, err = run_cli(*args)
+        assert (code, out) == (64, ""), args
+        assert "--budget" in err

@@ -56,13 +56,38 @@ samples = st.one_of(expansions(), catalog_minors())
 small_samples = st.one_of(expansions(max_n=12), catalog_minors(max_n=10))
 
 
+def test_branch_width_matches_the_oracles():
+    seen = Counter()
+
+    @SETTINGS
+    @given(samples)
+    def check(M):
+        value, deco = branch_width_exact(M)
+        want = bw_oracle(M) if M.ground.n <= 7 else bw_dp_oracle(M)
+        assert value == want
+        assert decomposition_width(M, deco) == value
+        sizes = OrbitSpace(M).sizes
+        if 1 in sizes and max(sizes) > 1:
+            seen["mixed"] += 1
+
+    check()
+    # the split scan steps one-element classes as submasks and wide
+    # classes in mixed radix; both must have met in one state space
+    assert seen["mixed"], seen
+
+
 @SETTINGS
-@given(samples)
-def test_branch_width_matches_the_oracles(M):
-    value, deco = branch_width_exact(M)
-    want = bw_oracle(M) if M.ground.n <= 7 else bw_dp_oracle(M)
-    assert value == want
-    assert decomposition_width(M, deco) == value
+@given(small_samples, st.randoms(use_true_random=False))
+def test_take_decodes_the_dense_number(M, rnd):
+    space = OrbitSpace(M)
+    full = M.ground.full
+    for x in range(space.count):
+        assert space.index_of(space.take(x, full)) == x
+        # any set holding at least the counts of x will do
+        within = space.canonical(x, last=True) | rnd.getrandbits(64) & full
+        X = space.take(x, within)
+        assert X & ~within == 0
+        assert space.index_of(X) == x
 
 
 def sparse_paving(n, r, chs):
@@ -195,11 +220,23 @@ def test_clone_free_states_are_masks():
     F = fano()
     space = OrbitSpace(F)
     assert space.radix2 and space.count == 1 << 7
-    assert list(space.packed()) == list(range(1 << 7))
+    assert space.lo == space.count - 1
     assert space.pairs == 3 ** 7
-    assert all(space.canonical(x) == x for x in range(1 << 7))
+    assert all(space.canonical(x) == x == space.index_of(x)
+               for x in range(1 << 7))
     assert (space.lams() == lambda_oracle(F)).all()
     assert branch_width_exact(F)[0] == bw_oracle(F)
+
+
+def test_wide_splits_refill_the_classes_below():
+    # classes of 2, 2, 3 and 4 elements; a split scan that steps a wide
+    # class down without refilling the wide classes under it from x
+    # finds 5 here
+    M = expand(get("fig1_N"), 2)[0].delete(1 << 2)
+    assert sorted(OrbitSpace(M).sizes) == [2, 2, 3, 4]
+    value, deco = branch_width_exact(M)
+    assert value == bw_dp_oracle(M) == 4
+    assert decomposition_width(M, deco) == 4
 
 
 def test_doubled_examples_under_the_default_budget():
@@ -297,6 +334,18 @@ def test_clone_free_scans_keep_their_element_budget():
         tutte_connectivity(M)
     with pytest.raises(BudgetExceeded):
         vertical_connectivity(M)
+
+
+def test_clone_free_tangle_checks_keep_their_element_budget():
+    n, r = 21, 3
+    M = sparse_paving(n, r, packing(combinations(range(n), r), r))
+    assert OrbitSpace(M).radix2 and OrbitSpace(M).count > 1 << 20
+    with pytest.raises(BudgetExceeded):
+        verify_tangle(M, Tangle(r + 1, rank_bounded_family(M, r)))
+    with pytest.raises(BudgetExceeded):
+        verify_tangle(M, Tangle(r + 1, (0, 1, 2, 4)))
+    # both refused before a rank table was built
+    assert M._table is None
 
 
 def test_sliced_tutte_histogram_matches_the_oracle(monkeypatch):
