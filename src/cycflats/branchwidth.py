@@ -223,17 +223,23 @@ def decomposition_width(M: Matroid, D: BranchDecomposition) -> int:
 
 # -- exact branch-width ------------------------------------------------------
 
+def check_split_pairs(M: Matroid, budget: int = DP_BUDGET):
+    """Raise BudgetExceeded when the exact DP on M does more split pairs
+    than on a clone-free matroid of budget elements (at most 22)."""
+    pairs = clonal_space(M).pairs
+    cap = min(budget, 22)
+    if pairs > 3 ** cap:
+        raise BudgetExceeded(
+            "exact branch-width does %d split pairs of work, budget is "
+            "3^%d (an n = %d matroid without clones)" % (pairs, cap, cap))
+
+
 def branch_width_exact(M: Matroid, budget: int = DP_BUDGET
                        ) -> Tuple[int, BranchDecomposition]:
     """Optimal width and a realizing decomposition, by count-vector DP."""
+    check_split_pairs(M, budget)
     n = M.ground.n
     space = clonal_space(M)
-    cap = min(budget, 22)
-    if space.pairs > 3 ** cap:
-        raise BudgetExceeded(
-            "exact branch-width does %d split pairs of work, budget is "
-            "3^%d (an n = %d matroid without clones)"
-            % (space.pairs, cap, cap))
     labels = M.ground.labels
     if n == 0:
         return 0, BranchDecomposition.build([], [], {})
@@ -544,21 +550,22 @@ def verify_tangle(M: Matroid, tangle: Tangle, threads: int = 1
         bad = sup[space.remainders(x, maximal)]
         if bad.any():
             # X and Y overlap as little as their counts allow, and a
-            # member contains the rest; for a rank-below family the rest
-            # is itself a member
+            # member contains the rest.  A rank-below family is closed
+            # under subsets, so the rest is itself a member; explicit
+            # members are masks, and Z is the first one containing it.
             y = int(maximal[int(np.nonzero(bad)[0][0])])
             X = space.canonical(x)
             Y = space.canonical(y, last=True)
-            need = M.ground.full & ~(X | Y)
-            above = memb & space.above(space.index_of(need))
-            Z = space.extend(need, int(np.nonzero(above)[0][0]))
+            Z = M.ground.full & ~(X | Y)
+            if not isinstance(tangle.members, RankBelow):
+                above = (np.arange(space.count) & Z) == Z
+                Z = int(np.nonzero(memb & above)[0][0])
             return False, {"axiom": "T3",
                            "sets": [labels(X), labels(Y), labels(Z)]}
     full = space.count - 1
-    for i in range(n):
-        if memb[full - space.strides[space.class_of[i]]]:
-            return False, {"axiom": "T4",
-                           "element": M.ground.labels[i]}
+    for els, st in zip(space.members, space.strides):
+        if memb[full - st]:
+            return False, {"axiom": "T4", "element": M.ground.labels[els[0]]}
     if k >= 3:
         missing = (ranks < k - 1) & ~memb
         if missing.any():

@@ -54,9 +54,21 @@ _GLOBALS = (
     ("--threads", {"type": int, "metavar": "N",
                    "help": "accepted and ignored"}),
     ("--budget", {"metavar": "SPEC",
-                  "help": "exact:<n> raises the exact-DP element cap; "
+                  "help": "exact:<n> lets the exact DP do the 3^n split "
+                          "pairs of a clone-free n-element matroid; "
                           "certify is accepted and ignored"}),
 )
+
+
+def _positive(text: str) -> int:
+    """argparse type of the count flags: an integer of at least 1."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("expected a positive integer, got %r"
+                                     % text)
 
 
 def _common_parent() -> argparse.ArgumentParser:
@@ -107,11 +119,11 @@ def build_parser() -> Parser:
 
     p = add("expand", "t-expansion with its block map")
     p.add_argument("matroid", nargs="?")
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--t", type=_positive, required=True)
 
     p = add("deflate", "undo a t-expansion (error if the input is not one)")
     p.add_argument("matroid", nargs="?")
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--t", type=_positive, required=True)
 
     p = add("union", "matroid union of the listed matroids")
     p.add_argument("matroids", nargs="+", metavar="MATROID")
@@ -125,7 +137,7 @@ def build_parser() -> Parser:
     p = add("flats-cover", "search for proper flats covering all but "
                            "--slack elements")
     p.add_argument("matroid", nargs="?")
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_positive, required=True)
     p.add_argument("--slack", type=int, default=0)
 
     p = add("bw", "branch-width: exact DP or two-sided certificate")
@@ -171,8 +183,8 @@ def build_parser() -> Parser:
     p.add_argument("--suite", choices=list(SUITE_NAMES))
     p.add_argument("--matroid", dest="verify_matroid", metavar="MATROID",
                    help="instance for --theorem (catalog name or file)")
-    p.add_argument("--t", type=int, default=2)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--t", type=_positive, default=2)
+    p.add_argument("--trials", type=_positive, default=200)
     return parser
 
 
@@ -211,17 +223,18 @@ def _parse_labels(text: str) -> List[str]:
 
 
 def _parse_budget(args) -> Optional[int]:
-    """The exact-DP element cap of --budget exact:<n>; None without one.
-    certify is accepted and changes nothing."""
+    """The exact-DP budget n >= 1 of --budget exact:<n>; None without
+    one.  certify is accepted and changes nothing."""
     raw = getattr(args, "budget", None)
     if raw is None or raw == "certify":
         return None
     if raw.startswith("exact:"):
         try:
-            return int(raw.split(":", 1)[1])
-        except ValueError:
+            return _positive(raw.split(":", 1)[1])
+        except argparse.ArgumentTypeError:
             pass
-    raise UsageError("bad --budget %r: expected exact:<n> or certify" % raw)
+    raise UsageError("bad --budget %r: expected exact:<n> with n >= 1, "
+                     "or certify" % raw)
 
 
 def _mask_of(M: Matroid, labels: List[str]) -> int:
@@ -311,7 +324,10 @@ def cmd_kappa(args) -> Tuple[int, object]:
 
 def cmd_flats_cover(args) -> Tuple[int, object]:
     M = _resolve(args.matroid, args)
-    found = flats_cover(M, args.count, args.slack)
+    try:
+        found = flats_cover(M, args.count, args.slack)
+    except ValueError as ex:
+        raise UsageError(str(ex))
     return 0, {"found": found is not None,
                "flats": None if found is None
                else [list(f) for f in found]}
@@ -388,9 +404,6 @@ def cmd_verify(args) -> Tuple[int, object]:
         M = _resolve(args.verify_matroid, args)
         report = run_theorem(args.theorem, M, args.verify_matroid, args.t)
     else:
-        if args.trials < 1:
-            raise UsageError("--trials must be at least 1, got %d"
-                             % args.trials)
         report = run_suite(args.suite, seed=args.seed, trials=args.trials,
                            exact_budget=args.exact_cap)
     code = 0 if report.passed else 2

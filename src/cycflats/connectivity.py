@@ -132,6 +132,8 @@ def flats_cover(M: Matroid, count: int, slack: int
     n = M.ground.n
     if count < 1:
         raise ValueError("count must be positive")
+    if slack < 0:
+        raise ValueError("slack must be nonnegative")
     if n == 0:
         return []
     hyps = M.hyperplanes()

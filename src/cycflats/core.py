@@ -8,7 +8,9 @@ of an arbitrary subset X is recovered as
 
 Subsets of the ground set are bitmasks over a fixed label order, so the
 ground set is capped at 62 elements and the rank formula is a short loop
-(or a vectorized numpy scan when a full 2^n table is wanted).
+(or a vectorized numpy scan over many masks).  rank_slices builds every
+whole rank table, over the 2^n masks or over count-vector states, in
+slices, as uint8: at most 2^TABLE_BUDGET entries, 16 MB.
 
 Call A an attaining member for X when r(A) + |X - A| = r(X).  For any
 family of (set, rank) pairs, valid or not, the minimum formula gives
@@ -51,8 +53,8 @@ from .errors import (
 )
 
 MAX_GROUND = 62          # bitmask ground-set cap
-TABLE_BUDGET = 22        # largest n for which 2^n rank tables are built
-_CHUNK = 1 << 16         # masks ranked per vectorized slice
+TABLE_BUDGET = 24        # entries of one rank table, as a power of two
+_CHUNK = 1 << 16         # entries ranked per vectorized slice
 
 
 def popcount(x: int) -> int:
@@ -174,21 +176,11 @@ class Matroid:
     # -- whole-powerset tables -------------------------------------------
 
     def rank_table(self, threads: int = 1) -> np.ndarray:
-        """Vector of r(X) for every mask X, built by a vectorized scan."""
-        if self._table is not None:
-            return self._table
-        n = self.ground.n
-        if n > TABLE_BUDGET:
-            raise BudgetExceeded(
-                "rank table needs 2^%d entries, budget is 2^%d"
-                % (n, TABLE_BUDGET))
-        table = np.empty(1 << n, dtype=np.int64)
-        for start in range(0, 1 << n, _CHUNK):
-            masks = np.arange(start, min(start + _CHUNK, 1 << n),
-                              dtype=np.uint64)
-            table[start:start + masks.size] = rank_of_mask_array(self, masks)
-        self._table = table
-        return table
+        """Vector of r(X) for every mask X, as uint8, built once."""
+        if self._table is None:
+            self._table = rank_slices(self, 1 << self.ground.n,
+                                      lambda masks: masks)
+        return self._table
 
     def lam_table(self, threads: int = 1) -> np.ndarray:
         """Vector of lambda(X) for every mask X, as int16."""
@@ -380,14 +372,30 @@ def refined(ground: GroundSet, cuts) -> list:
 # -- vectorized helpers ----------------------------------------------------
 
 def rank_of_mask_array(M: Matroid, masks: np.ndarray) -> np.ndarray:
-    """Evaluate the cyclic-flat rank formula on an array of masks."""
+    """Evaluate the cyclic-flat rank formula on an array of masks, as
+    uint8 (ranks are at most 62); widen before adding ranks up."""
     masks = masks.astype(np.uint64, copy=False)
     out = np.full(masks.shape, 255, dtype=np.uint8)
     for a, r in M.zee:
         cand = np.bitwise_count(masks & np.uint64(M.ground.full & ~a))
         cand += np.uint8(r)
         np.minimum(out, cand, out=out)
-    return out.astype(np.int64)
+    return out
+
+
+def rank_slices(M: Matroid, count: int, sets_of) -> np.ndarray:
+    """The uint8 rank table of entries 0..count-1, ranked _CHUNK at a
+    time; sets_of(index) gives the uint64 masks of an array of entry
+    numbers.  More than 2^TABLE_BUDGET entries are refused."""
+    if count > 1 << TABLE_BUDGET:
+        raise BudgetExceeded("rank table of %d entries, budget is 2^%d"
+                             % (count, TABLE_BUDGET))
+    table = np.empty(count, dtype=np.uint8)
+    for start in range(0, count, _CHUNK):
+        index = np.arange(start, min(start + _CHUNK, count), dtype=np.uint64)
+        table[start:start + index.size] = rank_of_mask_array(
+            M, sets_of(index))
+    return table
 
 
 def lam_of_ranks(ranks: np.ndarray, rank_total: int) -> np.ndarray:

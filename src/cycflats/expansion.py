@@ -220,7 +220,9 @@ def matroid_union(members: Sequence[Matroid],
         ground, [a for Mi in aligned for a, _ in Mi.zee]))
     check_states(space.count, "union")
     sets = space.sets()
-    g = sum(rank_of_mask_array(Mi, sets) for Mi in aligned)
+    g = np.zeros(space.count, dtype=np.int64)   # uint8 ranks, summed wide
+    for Mi in aligned:
+        g += rank_of_mask_array(Mi, sets)
     # dense order is mixed radix with class 0 fastest: its axis is last
     cube = g.reshape([s + 1 for s in reversed(space.sizes)])
     for c, s in enumerate(space.sizes):

@@ -4,8 +4,9 @@ The Tutte polynomial is computed by the corank-nullity sum over all
 subsets, T(M;x,y) = sum_A (x-1)^(r(M)-r(A)) (y-1)^(|A|-r(A)), collected
 into a (corank, nullity) histogram and then expanded into x,y
 coefficients with exact big integers.  Corank and nullity depend only on
-the count vector of A over the clonal classes, so the histogram walks
-the states of orbits.OrbitSpace in vectorized slices, each state
+the count vector of A over the clonal classes, so the histogram reads
+the state rank table of orbits.clonal_space (at most 2^24 states, the
+one table budget) and walks it in vectorized slices, each state
 weighted by its prod C(s_c, x_c) sets in exact int64 (the counts reach
 2^62).
 
@@ -22,12 +23,11 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .core import (_CHUNK, TABLE_BUDGET, Matroid, popcount,
-                   rank_of_mask_array)
-from .errors import BudgetExceeded, HasColoops, MatroidError
+from .core import Matroid, popcount
+from .errors import HasColoops, MatroidError
 from .orbits import clonal_space
 
-TUTTE_BUDGET = 24    # states, as a power of two
+_CHUNK = 1 << 16     # states per histogram slice
 
 
 class TuttePolynomial:
@@ -77,26 +77,18 @@ class TuttePolynomial:
 
 def tutte_polynomial(M: Matroid, threads: int = 1) -> TuttePolynomial:
     """Exact Tutte polynomial from the corank-nullity histogram of the
-    count-vector states (at most 2^TUTTE_BUDGET of them)."""
+    count-vector states."""
     n = M.ground.n
     space = clonal_space(M)
-    if space.count > 1 << TUTTE_BUDGET:
-        raise BudgetExceeded(
-            "Tutte histogram over %d states, budget is 2^%d"
-            % (space.count, TUTTE_BUDGET))
+    table = space.ranks()
     R = M.rank_total
     nullmax = n - R
     hist = np.zeros((R + 1) * (nullmax + 1), dtype=np.int64)
-    # past the table budget (clone-free n = 23, 24) each slice is ranked
-    table = space.ranks() if space.count <= 1 << TABLE_BUDGET else None
     for start in range(0, space.count, _CHUNK):
         index = np.arange(start, min(start + _CHUNK, space.count),
                           dtype=np.uint64)
         sets = space.sets(index)
-        if table is None:
-            ranks = rank_of_mask_array(M, sets)
-        else:
-            ranks = table[start:start + index.size]
+        ranks = table[start:start + index.size]
         key = np.subtract(R, ranks, dtype=np.int16)
         key *= nullmax + 1
         key += np.bitwise_count(sets)

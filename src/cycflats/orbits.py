@@ -21,11 +21,14 @@ numbering, just as reversing a 2^n table pairs each mask with its
 complement.
 
 Scans over many states (tau/kappa, tangle checks, unions) stop above
-2^STATE_BUDGET states; check_states is that one check.
+2^STATE_BUDGET states; check_states is that one check.  The sets of
+that many states are kept; past it (the Tutte histogram goes to 2^24
+states) each slice of state numbers is decoded.
 
 clonal_space(M) keeps one space per matroid, so the tau/kappa scan, the
 Tutte histogram, the branch-width DP and the tangle checks of M share
-one state rank table; without clones it is the cached M.rank_table().
+one uint8 state rank table, built by core.rank_slices; without clones
+it is the cached M.rank_table().
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .core import Matroid, lam_of_ranks, popcount, rank_of_mask_array
+from .core import Matroid, lam_of_ranks, popcount, rank_slices
 from .errors import BudgetExceeded
 
 STATE_BUDGET = 20      # states of one scan, as a power of two
@@ -75,12 +78,12 @@ class OrbitSpace:
             stride *= s + 1
         self.count = stride                   # number of states
         self.radix2 = len(members) == n       # clone-free layout
-        # the digits of the one-element classes, the low bits of a number
+        # the digits of the one-element classes, the low bits of a number;
+        # digit j is element e_j >= j, and _shifts groups them by e_j - j
         self.lo = (1 << self.sizes.count(1)) - 1
-        self.class_of = [0] * n
-        for c, els in enumerate(members):
-            for i in els:
-                self.class_of[i] = c
+        self._shifts = {}
+        for j, els in enumerate(members[:self.lo.bit_length()]):
+            self._shifts[els[0] - j] = self._shifts.get(els[0] - j, 0) | 1 << j
         # work of the branch-width recursion: ordered splits a + b = x
         # summed over all x, which is 3^n without clones
         self.pairs = prod(comb(s + 2, 2) for s in self.sizes)
@@ -91,28 +94,18 @@ class OrbitSpace:
             for i in els:
                 firsts.append(firsts[-1] | 1 << i)
             self._firsts.append(np.array(firsts, dtype=np.uint64))
-        self._digits = None
         self._sets = None
         self._ranks = None
 
     # -- state tables ------------------------------------------------------
 
-    def digits(self) -> np.ndarray:
-        """Per-class counts of every state, shape (classes, count)."""
-        if self._digits is None:
-            st = np.array(self.strides, dtype=np.int64)[:, None]
-            radix = np.array(self.sizes, dtype=np.int64)[:, None] + 1
-            index = np.arange(self.count, dtype=np.int64)
-            self._digits = (index[None, :] // st) % radix
-        return self._digits
-
     def ranks(self) -> np.ndarray:
-        """r(x) for every state, in dense order: the rank of its
-        canonical set."""
+        """r(x) for every state, in dense order, as uint8: the rank of
+        its canonical set."""
         if self.radix2:
             return self.M.rank_table()
         if self._ranks is None:
-            self._ranks = rank_of_mask_array(self.M, self.sets())
+            self._ranks = rank_slices(self.M, self.count, self.sets)
         return self._ranks
 
     def lams(self) -> np.ndarray:
@@ -123,7 +116,8 @@ class OrbitSpace:
         """The canonical set of each dense state number in index (the
         first x_c elements of each class), as uint64 masks.  Among the
         sets of a state it is the smallest mask.  Without index, the
-        sets of all states in dense order, kept when there are clones."""
+        sets of all states in dense order, kept when there are clones;
+        index is read from them up to 2^STATE_BUDGET states."""
         if index is None:
             if self.radix2:
                 return np.arange(self.count, dtype=np.uint64)
@@ -137,16 +131,13 @@ class OrbitSpace:
         index = index.astype(np.uint64, copy=False)
         if self.radix2:
             return index
-        if self._sets is not None:
-            return self._sets[index]
+        if self.count <= 1 << STATE_BUDGET:
+            return self.sets()[index]
         out = np.zeros(index.shape, dtype=np.uint64)
-        for els, s, st, firsts in zip(self.members, self.sizes,
-                                      self.strides, self._firsts):
-            if s == 1:      # a one-element class: stride st is 2^j
-                j = st.bit_length() - 1
-                out |= (index >> np.uint64(j) & np.uint64(1)) \
-                    << np.uint64(els[0])
-            else:
+        for shift, bits in self._shifts.items():
+            out |= (index & np.uint64(bits)) << np.uint64(shift)
+        for s, st, firsts in zip(self.sizes, self.strides, self._firsts):
+            if s > 1:
                 out |= firsts[index // st % (s + 1)]
         return out
 
@@ -195,39 +186,15 @@ class OrbitSpace:
         return sum(st * popcount(mask & m)
                    for m, st in zip(self.masks, self.strides))
 
-    def extend(self, mask: int, index: int) -> int:
-        """A concrete set of the state `index` that contains `mask`.
-
-        mask must fit in the state: no class holds more elements of mask
-        than the state counts.
-        """
-        out = mask
-        for els, m, s, st in zip(self.members, self.masks, self.sizes,
-                                 self.strides):
-            more = (index // st) % (s + 1) - popcount(mask & m)
-            for i in els:
-                if more <= 0:
-                    break
-                if not mask >> i & 1:
-                    out |= 1 << i
-                    more -= 1
-        return out
-
-    def above(self, index: int) -> np.ndarray:
-        """Which states hold at least the counts of the state `index`."""
-        if self.radix2:
-            return (np.arange(self.count) & index) == index
-        d = self.digits()
-        return (d >= d[:, [index]]).all(axis=0)
-
     def remainders(self, x: int, ys: np.ndarray) -> np.ndarray:
         """Dense numbers of max(0, s - x - y) for each y in ys."""
         if self.radix2:
             return (self.count - 1) & ~(x | ys)
-        d = self.digits()
-        s = np.array(self.sizes, dtype=np.int64)[:, None]
-        rest = np.maximum(0, s - d[:, [x]] - d[:, ys])
-        return np.array(self.strides, dtype=np.int64) @ rest
+        out = np.zeros(ys.shape, dtype=np.int64)
+        for s, st in zip(self.sizes, self.strides):
+            rest = s - x // st % (s + 1) - ys // st % (s + 1)
+            out += st * np.maximum(rest, 0)
+        return out
 
 
 def clonal_space(M: Matroid) -> OrbitSpace:

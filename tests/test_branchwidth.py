@@ -23,6 +23,7 @@ from cycflats import (
     verify_tangle,
 )
 from cycflats.catalog import entries, get, three_lines_tree
+from cycflats.verify import run_suite
 
 from oracles import bw_oracle, cubic_trees, lambda_oracle
 
@@ -311,3 +312,11 @@ def test_cover_tracks_branch_width_versus_rank_on_small_cases():
         bw = branch_width_exact(m)[0]
         r = m.rank(m.ground.full)
         assert covered == (bw <= r)
+
+
+@pytest.mark.parametrize("budget, checks", [(11, 7), (12, 8)])
+def test_bw_suite_runs_the_exact_rows_that_fit_the_budget(budget, checks):
+    # split pairs: 21,952 for fig2_M^2 (over 3^9) and 226,800 for
+    # fig2_N^2 (over 3^11)
+    rep = run_suite("bw", exact_budget=budget)
+    assert rep.passed and len(rep.checks) == checks

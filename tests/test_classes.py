@@ -154,3 +154,11 @@ def test_presentation_json_round_trip():
     d = p.to_json_dict()
     q = Presentation.from_labels(d["sets"], d["elements"])
     assert presentation_matroid(q).equals(get("fig2_M"))
+
+
+def test_presentation_sums_member_ranks_without_wrapping():
+    # 256 rank-1 members: a uint8 sum of their ranks wraps to 0
+    P = Presentation.from_labels([{"a"}] * 256, ["a", "b", "c"])
+    M = presentation_matroid(P)
+    assert M.rank_total == 1
+    assert M.zee == ((M.ground.mask_of(["b", "c"]), 0),)

@@ -298,3 +298,19 @@ def test_bad_budget_is_a_usage_error_for_every_command(command):
         code, out, err = run_cli(*args)
         assert (code, out) == (64, ""), args
         assert "--budget" in err
+
+
+@pytest.mark.parametrize("args", [
+    ("expand", "fig1_N", "--t", "0"),
+    ("deflate", "fig1_N", "--t", "0"),
+    ("verify", "--theorem", "tau-scaling", "--matroid", "fig1_N",
+     "--t", "0"),
+    ("flats-cover", "fig1_N", "--count", "0"),
+    ("flats-cover", "fig1_N", "--count", "2", "--slack", "-1"),
+    ("bw", "fig1_N", "--budget", "exact:-3"),
+    ("bw", "fig1_N", "--budget", "exact:0"),
+    ("verify", "--suite", "bw", "--trials", "x"),
+])
+def test_bad_numeric_flags_are_usage_errors(args):
+    code, out, _ = run_cli(*args)
+    assert (code, out) == (64, ""), args

@@ -6,11 +6,14 @@ import random
 from collections import Counter
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import cycflats.core
 import cycflats.invariants
+import cycflats.orbits
 from cycflats import (BudgetExceeded, Tangle, branch_width_exact,
                       decomposition_width, expand, popcount,
                       rank_bounded_family, tutte_connectivity,
@@ -348,16 +351,42 @@ def test_clone_free_tangle_checks_keep_their_element_budget():
     assert M._table is None
 
 
-def test_sliced_tutte_histogram_matches_the_oracle(monkeypatch):
-    # past TABLE_BUDGET the histogram ranks each slice of states itself
-    monkeypatch.setattr(cycflats.invariants, "TABLE_BUDGET", 3)
+def test_sliced_rank_tables_match_the_oracles(monkeypatch):
+    # slices of 7 entries, so every slice boundary is crossed, and the
+    # sets of a slice decoded from its digits, since 2^3 is below the
+    # state count, instead of read from the kept array
+    monkeypatch.setattr(cycflats.core, "_CHUNK", 7)
     monkeypatch.setattr(cycflats.invariants, "_CHUNK", 7)
+    monkeypatch.setattr(cycflats.orbits, "STATE_BUDGET", 3)
     n, r = 10, 3
     F = sparse_paving(n, r, packing(combinations(range(n), r), r))
     M2 = expand(get("fig1_N"), 2)[0]
-    assert OrbitSpace(F).radix2 and not OrbitSpace(M2).radix2
-    for M in (F, M2):
+    # one-element classes {0} and {9} beside two wide classes
+    pairs = [c for c in M2.clonal_classes() if popcount(c) == 2]
+    M3 = M2.delete(sum(c & -c for c in pairs))
+    for M in (F, M2, M3):
+        space = OrbitSpace(M)
+        assert space.count > 1 << 3 and space.count % 7
+        rank = rank_table_oracle(M)
+        canon = [space.canonical(i) for i in range(space.count)]
+        index = np.arange(space.count, dtype=np.uint64)
+        assert space.sets(index).tolist() == canon
+        ranks = space.ranks()
+        assert ranks.dtype == np.uint8
+        assert ranks.tolist() == [rank[x] for x in canon]
         T = tutte_polynomial(M)
-        assert M._table is None
         for x, y in TUTTE_POINTS:
             assert T.evaluate(x, y) == tutte_eval_oracle(M, x, y)
+    assert OrbitSpace(F).radix2 and not OrbitSpace(M2).radix2
+
+
+def test_rank_tables_stop_at_the_table_budget():
+    assert uniform(2, 24).rank_table().size == 1 << 24
+    n, r = 25, 3
+    M = sparse_paving(n, r, packing(combinations(range(n), r), r))
+    assert OrbitSpace(M).radix2
+    with pytest.raises(BudgetExceeded):
+        tutte_polynomial(M)
+    with pytest.raises(BudgetExceeded):
+        M.rank_table()
+    assert M._table is None
