@@ -339,18 +339,21 @@ class _Ids:
         return v
 
 
-def _caterpillar(ids: _Ids, labs: Sequence[str], edges, leaf_labels) -> str:
+def _caterpillar(ids: _Ids, labs: Sequence[str], edges, leaf_labels,
+                 head: Optional[str] = None) -> str:
     """Attachable caterpillar holding labs; returns its root vertex.
 
     The root has degree 2 inside the caterpillar when |labs| >= 2 (so it
     needs one more edge from the caller) and is the bare leaf when
-    |labs| == 1.
+    |labs| == 1.  With |labs| >= 2 an existing vertex `head` can serve as
+    the root instead of a fresh one.
     """
     if len(labs) == 1:
         v = ids.fresh()
         leaf_labels[labs[0]] = v
         return v
-    spine = [ids.fresh() for _ in range(len(labs) - 1)]
+    spine = [ids.fresh() if head is None else head]
+    spine += [ids.fresh() for _ in range(len(labs) - 2)]
     for i in range(len(spine) - 1):
         edges.append((spine[i], spine[i + 1]))
     for i, s in enumerate(spine):
@@ -412,8 +415,7 @@ def expand_decomposition(D: BranchDecomposition, emap: ExpansionMap
     """
     base = emap.base_ground
     adj, labeled = D.normalized(base)
-    t = emap.t
-    if t == 1:
+    if emap.t == 1:
         return D
     if base.n == 0:
         return BranchDecomposition.build([], [], {})
@@ -433,18 +435,8 @@ def expand_decomposition(D: BranchDecomposition, emap: ExpansionMap
     ids = _Ids(prefix)
     leaf_labels: Dict[str, str] = {}
     for lab in base.labels:
-        head = labeled[lab]
-        blk = emap.blocks[lab]
-        spine = [head] + [ids.fresh() for _ in range(t - 2)]
-        for i in range(len(spine) - 1):
-            edges.append((spine[i], spine[i + 1]))
-        for i, s in enumerate(spine):
-            leaf = ids.fresh()
-            leaf_labels[blk[i]] = leaf
-            edges.append((s, leaf))
-        last = ids.fresh()
-        leaf_labels[blk[-1]] = last
-        edges.append((spine[-1], last))
+        _caterpillar(ids, emap.blocks[lab], edges, leaf_labels,
+                     head=labeled[lab])
     vertices.extend(ids.vertices)
     return BranchDecomposition.build(vertices, edges, leaf_labels)
 

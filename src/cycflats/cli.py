@@ -26,8 +26,7 @@ from .core import Matroid, from_json, from_json_dict
 from .errors import AxiomViolation, InvalidTangle, MatroidError
 from .expansion import Presentation, deflate_with_map, expand, matroid_union
 from .invariants import config_isomorphic, configuration, tutte_polynomial
-from .verify import (SUITE_NAMES, THEOREM_NAMES, _jsonable, run_suite,
-                     run_theorem)
+from .verify import SUITE_NAMES, THEOREMS, _jsonable, run_suite, run_theorem
 
 
 class UsageError(Exception):
@@ -42,18 +41,21 @@ class Parser(argparse.ArgumentParser):
         self.exit(64, "%s: error: %s\n" % (self.prog, message))
 
 
+# Each global flag with its top-level default.  build_parser repeats the
+# flags on every subcommand, default suppressed, so they may follow it too.
 _GLOBALS = (
-    ("--input", {"metavar": "FILE", "help": "matroid JSON file"}),
-    ("--catalog", {"metavar": "NAME",
+    ("--input", {"metavar": "FILE", "default": None,
+                 "help": "matroid JSON file"}),
+    ("--catalog", {"metavar": "NAME", "default": None,
                    "help": "built-in matroid (%s)" % ", ".join(
                        catalog.names())}),
-    ("--pretty", {"action": "store_true",
+    ("--pretty", {"action": "store_true", "default": False,
                   "help": "indent JSON; render reports as text"}),
-    ("--seed", {"type": int, "metavar": "N",
+    ("--seed", {"type": int, "metavar": "N", "default": 0,
                 "help": "seed for randomized suites (default 0)"}),
-    ("--threads", {"type": int, "metavar": "N",
+    ("--threads", {"type": int, "metavar": "N", "default": 1,
                    "help": "accepted and ignored"}),
-    ("--budget", {"metavar": "SPEC",
+    ("--budget", {"metavar": "SPEC", "default": None,
                   "help": "exact:<n> lets the exact DP do the 3^n split "
                           "pairs of a clone-free n-element matroid; "
                           "certify is accepted and ignored"}),
@@ -71,15 +73,6 @@ def _positive(text: str) -> int:
                                      % text)
 
 
-def _common_parent() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    for flag, kw in _GLOBALS:
-        kw = dict(kw)
-        kw["default"] = argparse.SUPPRESS
-        p.add_argument(flag, **kw)
-    return p
-
-
 def build_parser() -> Parser:
     parser = Parser(
         prog="cycflats",
@@ -87,61 +80,56 @@ def build_parser() -> Parser:
                     "representation: Tutte polynomials, configurations, "
                     "connectivity, branch-width, expansions, positroid "
                     "orders, and transversal presentations.")
-    defaults = {"input": None, "catalog": None, "pretty": False,
-                "seed": 0, "threads": 1, "budget": None}
+    common = argparse.ArgumentParser(add_help=False)
     for flag, kw in _GLOBALS:
-        kw = dict(kw)
-        kw["default"] = defaults[flag.lstrip("-")]
         parser.add_argument(flag, **kw)
-    common = _common_parent()
+        common.add_argument(flag, **dict(kw, default=argparse.SUPPRESS))
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=Parser)
 
-    def add(name, help_text, **kw):
-        return sub.add_parser(name, parents=[common], help=help_text, **kw)
+    def add(name, help_text, handler, matroid=True, under=sub):
+        p = under.add_parser(name, parents=[common], help=help_text)
+        p.set_defaults(handler=handler)
+        if matroid:
+            p.add_argument("matroid", nargs="?")
+        return p
 
-    p = add("validate", "check the cyclic-flat axioms on a matroid")
-    p.add_argument("matroid", nargs="?")
+    add("validate", "check the cyclic-flat axioms on a matroid",
+        cmd_validate)
 
-    p = add("rank", "rank of a subset of the ground set")
-    p.add_argument("matroid", nargs="?")
+    p = add("rank", "rank of a subset of the ground set", cmd_rank)
     p.add_argument("--set", dest="subset", required=True, metavar="ELEMS",
                    help="comma-separated element labels (empty for the "
                         "empty set)")
 
-    p = add("tutte", "Tutte polynomial as a JSON term list")
-    p.add_argument("matroid", nargs="?")
+    add("tutte", "Tutte polynomial as a JSON term list", cmd_tutte)
 
     p = add("config", "configuration; 'config compare A B' tests "
-                      "isomorphism")
+                      "isomorphism", cmd_config, matroid=False)
     p.add_argument("args", nargs="+", metavar="ARG",
                    help="MATROID, or: compare MATROID MATROID")
 
-    p = add("expand", "t-expansion with its block map")
-    p.add_argument("matroid", nargs="?")
+    p = add("expand", "t-expansion with its block map", cmd_expand)
     p.add_argument("--t", type=_positive, required=True)
 
-    p = add("deflate", "undo a t-expansion (error if the input is not one)")
-    p.add_argument("matroid", nargs="?")
+    p = add("deflate", "undo a t-expansion (error if the input is not one)",
+            cmd_deflate)
     p.add_argument("--t", type=_positive, required=True)
 
-    p = add("union", "matroid union of the listed matroids")
+    p = add("union", "matroid union of the listed matroids", cmd_union,
+            matroid=False)
     p.add_argument("matroids", nargs="+", metavar="MATROID")
 
-    p = add("tau", "Tutte connectivity with a witness separation")
-    p.add_argument("matroid", nargs="?")
-
-    p = add("kappa", "vertical connectivity with a witness separation")
-    p.add_argument("matroid", nargs="?")
+    add("tau", "Tutte connectivity with a witness separation", cmd_tau)
+    add("kappa", "vertical connectivity with a witness separation",
+        cmd_kappa)
 
     p = add("flats-cover", "search for proper flats covering all but "
-                           "--slack elements")
-    p.add_argument("matroid", nargs="?")
+                           "--slack elements", cmd_flats_cover)
     p.add_argument("--count", type=_positive, required=True)
     p.add_argument("--slack", type=int, default=0)
 
-    p = add("bw", "branch-width: exact DP or two-sided certificate")
-    p.add_argument("matroid", nargs="?")
+    p = add("bw", "branch-width: exact DP or two-sided certificate", cmd_bw)
     p.add_argument("--exact", action="store_true",
                    help="exact dynamic program (the default mode)")
     p.add_argument("--certify", action="store_true",
@@ -151,35 +139,33 @@ def build_parser() -> Parser:
     p.add_argument("--lower", metavar="SPEC",
                    help="tangle spec rank-lt:<c>:<k>")
 
-    p = add("tangle", "tangle operations")
+    p = add("tangle", "tangle operations", None, matroid=False)
     tsub = p.add_subparsers(dest="tangle_command", required=True,
                             parser_class=Parser)
-    tv = tsub.add_parser("verify", parents=[common],
-                         help="check the tangle axioms")
-    tv.add_argument("matroid", nargs="?")
-    tv.add_argument("--family", required=True, metavar="SPEC",
-                    help="member family spec rank-lt:<c>")
-    tv.add_argument("--order", type=int, required=True)
+    p = add("verify", "check the tangle axioms", cmd_tangle_verify,
+            under=tsub)
+    p.add_argument("--family", required=True, metavar="SPEC",
+                   help="member family spec rank-lt:<c>")
+    p.add_argument("--order", type=_positive, required=True)
 
     p = add("positroid-check", "test one cyclic order for the "
-                               "cyclic-interval property")
-    p.add_argument("matroid", nargs="?")
+                               "cyclic-interval property",
+            cmd_positroid_check)
     p.add_argument("--order", required=True, metavar="ELEMS",
                    help="comma-separated permutation of the ground set")
 
-    p = add("positroid-search", "search cyclic orders up to rotation and "
-                                "reflection")
-    p.add_argument("matroid", nargs="?")
+    add("positroid-search", "search cyclic orders up to rotation and "
+                            "reflection", cmd_positroid_search)
 
     p = add("presentation-verify", "does the given presentation present "
-                                   "the matroid?")
-    p.add_argument("matroid", nargs="?")
+                                   "the matroid?", cmd_presentation_verify)
     p.add_argument("--sets", required=True, metavar="SETS",
                    help="presentation sets, '|'-separated comma lists, "
                         "e.g. \"1,2,3|4,5,6\"")
 
-    p = add("verify", "run a named theorem check or verification suite")
-    p.add_argument("--theorem", choices=list(THEOREM_NAMES))
+    p = add("verify", "run a named theorem check or verification suite",
+            cmd_verify, matroid=False)
+    p.add_argument("--theorem", choices=list(THEOREMS))
     p.add_argument("--suite", choices=list(SUITE_NAMES))
     p.add_argument("--matroid", dest="verify_matroid", metavar="MATROID",
                    help="instance for --theorem (catalog name or file)")
@@ -197,9 +183,9 @@ def _read_json(path: str) -> dict:
 
 
 def _resolve(spec: Optional[str], args) -> Matroid:
-    if getattr(args, "input", None):
+    if args.input:
         return from_json_dict(_read_json(args.input))
-    if getattr(args, "catalog", None):
+    if args.catalog:
         name = args.catalog
         if name not in catalog.names():
             raise UsageError("unknown catalog entry %r; have %s"
@@ -225,7 +211,7 @@ def _parse_labels(text: str) -> List[str]:
 def _parse_budget(args) -> Optional[int]:
     """The exact-DP budget n >= 1 of --budget exact:<n>; None without
     one.  certify is accepted and changes nothing."""
-    raw = getattr(args, "budget", None)
+    raw = args.budget
     if raw is None or raw == "certify":
         return None
     if raw.startswith("exact:"):
@@ -251,10 +237,19 @@ def _parse_rank_lt(spec: str, parts: int) -> List[int]:
                          % (spec, ":<c>" * parts if parts == 1
                             else ":<c>:<k>"))
     try:
-        return [int(x) for x in pieces[1:]]
-    except ValueError:
-        raise UsageError("bad spec %r: the parameters must be integers"
-                         % spec)
+        return [_positive(x) for x in pieces[1:]]
+    except argparse.ArgumentTypeError:
+        raise UsageError("bad spec %r: the parameters must be positive "
+                         "integers" % spec)
+
+
+def _rank_tangle(M: Matroid, c: int, order: int) -> Tangle:
+    """The tangle of the given order on {X : r(X) < c}; a bound c above
+    r(M)+1 is a usage error."""
+    try:
+        return Tangle(order=order, members=rank_bounded_family(M, c))
+    except ValueError as ex:
+        raise UsageError(str(ex))
 
 
 def cmd_validate(args) -> Tuple[int, object]:
@@ -343,9 +338,8 @@ def cmd_bw(args) -> Tuple[int, object]:
                              "--lower rank-lt:<c>:<k>")
         D = BranchDecomposition.from_json_dict(_read_json(args.upper))
         c, k = _parse_rank_lt(args.lower, 2)
-        tangle = Tangle(order=k, members=rank_bounded_family(M, c))
         try:
-            cert = branch_width_certified(M, D, tangle)
+            cert = branch_width_certified(M, D, _rank_tangle(M, c, k))
         except InvalidTangle as ex:
             return 2, {"certified": False, "reason": str(ex)}
         return 0, cert.to_json_dict()
@@ -357,7 +351,7 @@ def cmd_bw(args) -> Tuple[int, object]:
 def cmd_tangle_verify(args) -> Tuple[int, object]:
     M = _resolve(args.matroid, args)
     (c,) = _parse_rank_lt(args.family, 1)
-    tangle = Tangle(order=args.order, members=rank_bounded_family(M, c))
+    tangle = _rank_tangle(M, c, args.order)
     ok, witness = verify_tangle(M, tangle)
     return (0 if ok else 2), {"valid": ok, "order": args.order,
                               "family": tangle.members.describe(),
@@ -412,32 +406,12 @@ def cmd_verify(args) -> Tuple[int, object]:
     return code, report.to_json_dict()
 
 
-_HANDLERS = {
-    "validate": cmd_validate,
-    "rank": cmd_rank,
-    "tutte": cmd_tutte,
-    "config": cmd_config,
-    "expand": cmd_expand,
-    "deflate": cmd_deflate,
-    "union": cmd_union,
-    "tau": cmd_tau,
-    "kappa": cmd_kappa,
-    "flats-cover": cmd_flats_cover,
-    "bw": cmd_bw,
-    "tangle": cmd_tangle_verify,
-    "positroid-check": cmd_positroid_check,
-    "positroid-search": cmd_positroid_search,
-    "presentation-verify": cmd_presentation_verify,
-    "verify": cmd_verify,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         args.exact_cap = _parse_budget(args)
-        code, payload = _HANDLERS[args.command](args)
+        code, payload = args.handler(args)
     except UsageError as ex:
         print("cycflats: error: %s" % ex, file=sys.stderr)
         return 64

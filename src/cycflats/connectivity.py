@@ -191,6 +191,29 @@ class ScalingCheck:
         }
 
 
+# Each side of the scaling theorem: its connectivity, its hypothesis on
+# M and that connectivity's value, and why a side that fails it is skipped.
+_SCALING = {
+    "tau": (tutte_connectivity, lambda M, value: value is not None,
+            "tau(M) is infinite; the scaling theorem needs a finite value"),
+    "kappa": (vertical_connectivity, lambda M, value: value < M.rank_total,
+              "kappa(M) = r(M); the scaling theorem needs kappa(M) < r(M)"),
+}
+
+
+def scaling_side(side: str, M: Matroid, Mt: Matroid, t: int
+                 ) -> ScalingCheck:
+    """The 'tau' or 'kappa' side of kappa_scaling_check, for Mt the
+    t-expansion of M."""
+    connectivity, hypothesis, skipped = _SCALING[side]
+    base = connectivity(M).value
+    ok = hypothesis(M, base)
+    return ScalingCheck(
+        name=side, applicable=ok, reason=None if ok else skipped,
+        base_value=base, expected=t * (base - 1) + 1 if ok else None,
+        computed=connectivity(Mt).value)
+
+
 def kappa_scaling_check(M: Matroid, t: int, threads: int = 1
                         ) -> List[ScalingCheck]:
     """Check tau and kappa scaling under t-expansion.
@@ -201,37 +224,4 @@ def kappa_scaling_check(M: Matroid, t: int, threads: int = 1
     the expansion still recorded.
     """
     Mt, _ = expand(M, t)
-    out = []
-
-    tau = tutte_connectivity(M)
-    tau_t = tutte_connectivity(Mt)
-    if tau.is_infinite:
-        out.append(ScalingCheck(
-            name="tau", applicable=False,
-            reason="tau(M) is infinite; the scaling theorem needs a finite "
-                   "value",
-            base_value=None, expected=None,
-            computed=tau_t.value))
-    else:
-        out.append(ScalingCheck(
-            name="tau", applicable=True, reason=None,
-            base_value=tau.value,
-            expected=t * (tau.value - 1) + 1,
-            computed=tau_t.value))
-
-    kap = vertical_connectivity(M)
-    kap_t = vertical_connectivity(Mt)
-    if kap.value >= M.rank_total:
-        out.append(ScalingCheck(
-            name="kappa", applicable=False,
-            reason="kappa(M) = r(M); the scaling theorem needs "
-                   "kappa(M) < r(M)",
-            base_value=kap.value, expected=None,
-            computed=kap_t.value))
-    else:
-        out.append(ScalingCheck(
-            name="kappa", applicable=True, reason=None,
-            base_value=kap.value,
-            expected=t * (kap.value - 1) + 1,
-            computed=kap_t.value))
-    return out
+    return [scaling_side(side, M, Mt, t) for side in _SCALING]

@@ -125,19 +125,22 @@ class Configuration:
     deco: Tuple[Tuple[int, int], ...]
     leq: frozenset
 
-    def signature(self):
+    def _node_signatures(self) -> list:
+        """(decoration, down-degree, up-degree) of each node, from one
+        pass over leq."""
         n = len(self.deco)
         below = [0] * n
         above = [0] * n
         for i, j in self.leq:
             above[i] += 1
             below[j] += 1
-        return sorted((self.deco[i], below[i], above[i]) for i in range(n))
+        return [(self.deco[i], below[i], above[i]) for i in range(n)]
+
+    def signature(self):
+        return sorted(self._node_signatures())
 
     def node_signature(self, i: int):
-        below = sum(1 for (a, b) in self.leq if b == i)
-        above = sum(1 for (a, b) in self.leq if a == i)
-        return (self.deco[i], below, above)
+        return self._node_signatures()[i]
 
     def covers(self):
         out = []
@@ -181,11 +184,10 @@ def config_isomorphic(C1: Configuration, C2: Configuration
     n = len(C1.deco)
     if n != len(C2.deco):
         return False, None
-    if C1.signature() != C2.signature():
+    sig1, sig2 = C1._node_signatures(), C2._node_signatures()
+    if sorted(sig1) != sorted(sig2):
         return False, None
-    sig2 = [C2.node_signature(j) for j in range(n)]
-    cands = [[j for j in range(n) if C1.node_signature(i) == sig2[j]]
-             for i in range(n)]
+    cands = [[j for j in range(n) if sig1[i] == sig2[j]] for i in range(n)]
     order = sorted(range(n), key=lambda i: len(cands[i]))
     assign: Dict[int, int] = {}
     used = [False] * n

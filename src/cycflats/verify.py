@@ -21,18 +21,13 @@ from .branchwidth import (BranchDecomposition, Tangle,
 from .classes import (expansion_positroid_order, is_positroid_order,
                       positroid_search, presentation_matroid, rank_one,
                       verify_presentation)
-from .connectivity import (flats_cover, kappa_scaling_check,
-                           tutte_connectivity, two_flats_cover_plus_one,
-                           vertical_connectivity)
+from .connectivity import (flats_cover, scaling_side, tutte_connectivity,
+                           two_flats_cover_plus_one, vertical_connectivity)
 from .core import GroundSet, Matroid
 from .errors import BudgetExceeded, MatroidError
 from .expansion import (Presentation, deflate_with_map, expand,
                         expand_presentation, expand_via_union, matroid_union)
 from .invariants import config_isomorphic, configuration, tutte_polynomial
-
-SUITE_NAMES = ("figures", "tau", "kappa", "bw", "expansion-lemmas",
-               "classes", "equivalences")
-THEOREM_NAMES = ("tau-scaling", "kappa-scaling")
 
 
 def _jsonable(v):
@@ -136,7 +131,7 @@ def random_matroid(rng: random.Random, max_n: int = 6) -> Matroid:
     return M
 
 
-def suite_figures() -> VerificationReport:
+def suite_figures(**_) -> VerificationReport:
     rep = VerificationReport("figures")
     m1a, m1b = catalog.get("fig1_M"), catalog.get("fig1_N")
     m2a, m2b = catalog.get("fig2_M"), catalog.get("fig2_N")
@@ -166,7 +161,7 @@ def suite_figures() -> VerificationReport:
     return rep
 
 
-def suite_tau() -> VerificationReport:
+def suite_tau(**_) -> VerificationReport:
     rep = VerificationReport("tau")
     M = catalog.get("fig1_M")
     N = catalog.get("fig1_N")
@@ -184,7 +179,7 @@ def suite_tau() -> VerificationReport:
     return rep
 
 
-def suite_kappa() -> VerificationReport:
+def suite_kappa(**_) -> VerificationReport:
     rep = VerificationReport("kappa")
     M = catalog.get("fig1_M")
     N = catalog.get("fig1_N")
@@ -240,7 +235,7 @@ def _expanded_fan(Nt: Matroid, emap) -> BranchDecomposition:
     return fan_decomposition([arm1, arm2, arm3])
 
 
-def suite_bw(exact_budget: Optional[int] = None) -> VerificationReport:
+def suite_bw(exact_budget: Optional[int] = None, **_) -> VerificationReport:
     rep = VerificationReport("bw")
     M = catalog.get("fig2_M")
     N = catalog.get("fig2_N")
@@ -318,7 +313,7 @@ def _composition_roundtrip(M: Matroid) -> bool:
     return d.relabel(back).equals(M)
 
 
-def suite_expansion_lemmas(seed: int = 0, trials: int = 200
+def suite_expansion_lemmas(seed: int = 0, trials: int = 200, **_
                            ) -> VerificationReport:
     rep = VerificationReport("expansion-lemmas")
     rng = random.Random(seed)
@@ -397,7 +392,7 @@ def suite_expansion_lemmas(seed: int = 0, trials: int = 200
     return rep
 
 
-def suite_classes() -> VerificationReport:
+def suite_classes(**_) -> VerificationReport:
     rep = VerificationReport("classes")
     for name in ("fig1_M", "fig1_N", "fig2_M"):
         M = catalog.get(name)
@@ -432,7 +427,8 @@ def suite_classes() -> VerificationReport:
     return rep
 
 
-def suite_equivalences(seed: int = 0, trials: int = 200) -> VerificationReport:
+def suite_equivalences(seed: int = 0, trials: int = 200, **_
+                       ) -> VerificationReport:
     rep = VerificationReport("equivalences")
     rng = random.Random(seed)
     sample = [random_matroid(rng, 6) for _ in range(trials)]
@@ -495,42 +491,44 @@ def suite_equivalences(seed: int = 0, trials: int = 200) -> VerificationReport:
     return rep
 
 
+# Each suite takes the run_suite options it uses and ignores the rest.
+SUITES = {
+    "figures": suite_figures,
+    "tau": suite_tau,
+    "kappa": suite_kappa,
+    "bw": suite_bw,
+    "expansion-lemmas": suite_expansion_lemmas,
+    "classes": suite_classes,
+    "equivalences": suite_equivalences,
+}
+SUITE_NAMES = tuple(SUITES)
+# Each scaling theorem and the side of kappa_scaling_check it checks.
+THEOREMS = {"tau-scaling": "tau", "kappa-scaling": "kappa"}
+
+
 def run_suite(name: str, seed: int = 0, trials: int = 200, threads: int = 1,
               exact_budget: Optional[int] = None) -> VerificationReport:
-    suites = {
-        "figures": suite_figures,
-        "tau": suite_tau,
-        "kappa": suite_kappa,
-        "bw": lambda: suite_bw(exact_budget),
-        "expansion-lemmas": lambda: suite_expansion_lemmas(seed, trials),
-        "classes": suite_classes,
-        "equivalences": lambda: suite_equivalences(seed, trials),
-    }
-    if name not in suites:
+    if name not in SUITES:
         raise ValueError("unknown suite %r; have %s"
                          % (name, ", ".join(SUITE_NAMES)))
-    return suites[name]()
+    return SUITES[name](seed=seed, trials=trials, exact_budget=exact_budget)
 
 
 def run_theorem(theorem: str, M: Matroid, instance: str, t: int,
                 threads: int = 1) -> VerificationReport:
-    if theorem not in THEOREM_NAMES:
+    if theorem not in THEOREMS:
         raise ValueError("unknown theorem %r; have %s"
-                         % (theorem, ", ".join(THEOREM_NAMES)))
-    side = "tau" if theorem == "tau-scaling" else "kappa"
+                         % (theorem, ", ".join(THEOREMS)))
     rep = VerificationReport("theorem:%s" % theorem)
     t0 = time.perf_counter()
-    chk = [c for c in kappa_scaling_check(M, t) if c.name == side][0]
+    chk = scaling_side(THEOREMS[theorem], M, expand(M, t)[0], t)
     dt = time.perf_counter() - t0
-    if chk.applicable:
-        rep.checks.append(CheckResult(
-            theorem, "%s, t=%d" % (instance, t), chk.expected, chk.computed,
-            chk.match is True, dt,
-            None if chk.match else {"matroid": M.to_json_dict(), "t": t}))
-    else:
-        rep.checks.append(CheckResult(
-            theorem, "%s, t=%d" % (instance, t),
-            "(hypothesis of the scaling theorem)",
-            "not applicable: %s (observed %r)" % (chk.reason, chk.computed),
-            False, dt, {"matroid": M.to_json_dict(), "t": t}))
+    expected, computed = chk.expected, chk.computed
+    if not chk.applicable:
+        expected = "(hypothesis of the scaling theorem)"
+        computed = "not applicable: %s (observed %r)" % (chk.reason, computed)
+    rep.checks.append(CheckResult(
+        theorem, "%s, t=%d" % (instance, t), expected, computed,
+        chk.match is True, dt,
+        None if chk.match else {"matroid": M.to_json_dict(), "t": t}))
     return rep

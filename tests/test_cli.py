@@ -1,11 +1,14 @@
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from cycflats import from_json_dict, tutte_polynomial, uniform
 from cycflats.catalog import get, three_lines_tree
+from cycflats.cli import main
 
 BASE = [sys.executable, "-m", "cycflats"]
 
@@ -310,7 +313,41 @@ def test_bad_budget_is_a_usage_error_for_every_command(command):
     ("bw", "fig1_N", "--budget", "exact:-3"),
     ("bw", "fig1_N", "--budget", "exact:0"),
     ("verify", "--suite", "bw", "--trials", "x"),
+    ("tangle", "verify", "fig1_N", "--family", "rank-lt:99", "--order", "3"),
+    ("tangle", "verify", "fig1_N", "--family", "rank-lt:0", "--order", "3"),
+    ("tangle", "verify", "fig1_N", "--family", "rank-lt:2", "--order", "0"),
+    ("tangle", "verify", "fig1_N", "--family", "rank-lt:2", "--order", "-4"),
+    ("bw", "--certify", "fig2_M", "--upper", "TREE", "--lower",
+     "rank-lt:0:3"),
+    ("bw", "--certify", "fig2_M", "--upper", "TREE", "--lower",
+     "rank-lt:2:0"),
+    ("bw", "--certify", "fig2_M", "--upper", "TREE", "--lower",
+     "rank-lt:99:3"),
 ])
-def test_bad_numeric_flags_are_usage_errors(args):
-    code, out, _ = run_cli(*args)
+def test_bad_numeric_flags_are_usage_errors(args, tmp_path):
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps(three_lines_tree().to_json_dict()))
+    code, out, _ = run_cli(*[str(tree) if a == "TREE" else a for a in args])
     assert (code, out) == (64, ""), args
+
+
+def _readme_examples():
+    """The `cycflats ...` lines of the README's command-line block."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("cycflats ")]
+
+
+_FILE_FREE = [argv for argv in _readme_examples()
+              if not any(a.endswith(".json") for a in argv)]
+
+
+def test_readme_block_has_file_free_examples():
+    assert len(_FILE_FREE) >= 15
+
+
+@pytest.mark.parametrize("argv", _FILE_FREE, ids=" ".join)
+def test_readme_example_runs(argv, capsys):
+    assert main(argv) == 0
+    assert isinstance(json.loads(capsys.readouterr().out), dict)

@@ -1,3 +1,5 @@
+import pytest
+
 from cycflats import (
     expand,
     flats_cover,
@@ -8,7 +10,8 @@ from cycflats import (
     uniform,
     vertical_connectivity,
 )
-from cycflats.catalog import entries, get
+from cycflats.catalog import entries, get, names
+from cycflats.verify import run_theorem
 
 from oracles import kappa_oracle, lambda_oracle, rank_table_oracle, tau_oracle
 
@@ -159,3 +162,23 @@ def test_scaling_check_shapes():
     assert by_name_n["tau"].applicable
     assert by_name_n["tau"].expected == 5
     assert by_name_n["tau"].computed == 5
+
+
+@pytest.mark.parametrize("name", names())
+def test_run_theorem_reports_its_scaling_side(name):
+    M = get(name)
+    for t in (1, 2, 3):
+        sides = {row.name: row for row in kappa_scaling_check(M, t)}
+        for theorem, side in (("tau-scaling", "tau"),
+                              ("kappa-scaling", "kappa")):
+            (check,) = run_theorem(theorem, M, name, t).checks
+            row = sides[side]
+            assert (check.check_id, check.instance) == (
+                theorem, "%s, t=%d" % (name, t))
+            if row.applicable:
+                assert (check.expected, check.computed, check.passed) == (
+                    row.expected, row.computed, row.match)
+            else:
+                assert check.computed == "not applicable: %s (observed %r)" \
+                    % (row.reason, row.computed)
+                assert check.passed is False
