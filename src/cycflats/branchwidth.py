@@ -93,9 +93,12 @@ class BranchDecomposition:
     def normalized(self, ground: GroundSet):
         """Adjacency of the normalized tree, or raise MalformedTree.
 
-        Checks the label map is a bijection onto leaves of the pruned
-        tree, prunes unlabeled leaves, suppresses degree-2 vertices, and
-        verifies the result is a cubic tree.
+        Checks the input is a tree whose label map is a bijection onto
+        distinct vertices, prunes unlabeled leaves, suppresses degree-2
+        vertices, and verifies the result is a cubic tree.  Both steps
+        keep a tree a tree, and suppression changes no other degree, so
+        one pass of each suffices.  Vertices keep the input order, and
+        neighbours (dicts as ordered sets) the edge order.
         """
         labels = set(ground.labels)
         if set(self.leaf_labels) != labels:
@@ -104,67 +107,43 @@ class BranchDecomposition:
             raise MalformedTree(
                 "leaf labels do not match the ground set "
                 "(missing %s, extra %s)" % (sorted(missing), sorted(extra)))
-        vs = set(self.vertices)
-        if len(vs) != len(self.vertices):
+        adj: Dict[str, Dict[str, None]] = {v: {} for v in self.vertices}
+        if len(adj) != len(self.vertices):
             raise MalformedTree("duplicate vertex ids")
-        adj: Dict[str, set] = {v: set() for v in vs}
         for a, b in self.edges:
-            if a not in vs or b not in vs:
+            if a not in adj or b not in adj:
                 raise MalformedTree("edge endpoint %r is not a vertex"
-                                    % (a if a not in vs else b))
+                                    % (a if a not in adj else b))
             if a == b or b in adj[a]:
                 raise MalformedTree("self-loop or repeated edge at %r" % a)
-            adj[a].add(b)
-            adj[b].add(a)
-        if len(self.edges) != len(vs) - (1 if vs else 0):
+            adj[a][b] = adj[b][a] = None
+        if len(self.edges) != len(adj) - (1 if adj else 0):
             raise MalformedTree("edge count does not match a tree")
-        labeled = {}
+        if len(_walk(adj)) != len(adj):
+            raise MalformedTree("tree is not connected")
+        label_of = {}
         for lab, v in self.leaf_labels.items():
-            if v not in vs:
+            if v not in adj:
                 raise MalformedTree("label %r points at unknown vertex %r"
                                     % (lab, v))
-            if v in labeled.values():
+            if v in label_of:
                 raise MalformedTree("vertex %r carries two labels" % v)
-            labeled[lab] = v
-        label_of = {v: lab for lab, v in labeled.items()}
-        # prune unlabeled leaves, then suppress degree-2 vertices
-        changed = True
-        while changed:
-            changed = False
-            for v in list(adj):
-                if len(adj[v]) <= 1 and v not in label_of:
-                    if len(adj) == 1 and not label_of:
-                        break
-                    for u in list(adj[v]):
-                        adj[u].discard(v)
-                    del adj[v]
-                    changed = True
-            for v in list(adj):
-                if len(adj[v]) == 2 and v not in label_of:
-                    a, b = sorted(adj[v])
-                    if b in adj[a]:
-                        raise MalformedTree(
-                            "suppressing %r would create a repeated edge"
-                            % v)
-                    adj[a].discard(v)
-                    adj[b].discard(v)
-                    adj[a].add(b)
-                    adj[b].add(a)
-                    del adj[v]
-                    changed = True
-        if not adj and ground.n > 0:
-            raise MalformedTree("tree is empty but the ground set is not")
-        if adj:
-            seen = set()
-            stack = [next(iter(adj))]
-            while stack:
-                v = stack.pop()
-                if v in seen:
-                    continue
-                seen.add(v)
-                stack.extend(adj[v])
-            if seen != set(adj):
-                raise MalformedTree("tree is not connected")
+            label_of[v] = lab
+        # prune unlabeled leaves (a lone unlabeled vertex stays), then
+        # suppress unlabeled degree-2 vertices
+        stack = [v for v, nb in adj.items()
+                 if len(nb) <= 1 and v not in label_of]
+        while stack and len(adj) > 1:
+            v = stack.pop()
+            for u in adj.pop(v):
+                del adj[u][v]
+                if len(adj[u]) == 1 and u not in label_of:
+                    stack.append(u)
+        for v in [v for v, nb in adj.items()
+                  if len(nb) == 2 and v not in label_of]:
+            a, b = adj.pop(v)
+            del adj[a][v], adj[b][v]
+            adj[a][b] = adj[b][a] = None
         for v, nb in adj.items():
             if v in label_of:
                 if len(nb) > 1:
@@ -173,52 +152,45 @@ class BranchDecomposition:
                 raise MalformedTree(
                     "internal vertex %r has degree %d, need 3"
                     % (v, len(nb)))
-        for lab, v in labeled.items():
-            if v not in adj:
-                raise MalformedTree("labeled leaf %r was pruned away" % lab)
-        return adj, labeled
+        return adj, dict(self.leaf_labels)
+
+
+def _walk(adj) -> List[Tuple[str, Optional[str]]]:
+    """(vertex, parent) for each vertex reached from the first one, in
+    preorder; the root comes first, with parent None.  It keeps a visited
+    set, so it ends on any graph, trees or not."""
+    out = []
+    seen = set(list(adj)[:1])
+    stack = [(v, None) for v in seen]
+    while stack:
+        v, p = stack.pop()
+        out.append((v, p))
+        for u in adj[v]:
+            if u not in seen:
+                seen.add(u)
+                stack.append((u, v))
+    return out
 
 
 def displayed_sets(D: BranchDecomposition, M: Matroid
                    ) -> List[Tuple[Tuple[str, str], int]]:
-    """For each normalized tree edge, the mask displayed on one side."""
+    """For each normalized tree edge (v, parent), the mask displayed on
+    the v side."""
     adj, labeled = D.normalized(M.ground)
-    vertex_label_mask = {}
+    walk = _walk(adj)[1:]
+    side = dict.fromkeys(adj, 0)
     for lab, v in labeled.items():
-        vertex_label_mask[v] = 1 << M.ground.index[lab]
-    out = []
-    edges = set()
-    for v, nb in adj.items():
-        for u in nb:
-            if (u, v) in edges or (v, u) in edges:
-                continue
-            edges.add((v, u))
-            # labels on the v side of edge (v,u)
-            mask = 0
-            stack = [v]
-            seen = {u, v}
-            while stack:
-                w = stack.pop()
-                mask |= vertex_label_mask.get(w, 0)
-                for x in adj[w]:
-                    if x not in seen:
-                        seen.add(x)
-                        stack.append(x)
-            out.append(((v, u), mask))
-    return out
-
-
-def edge_widths(M: Matroid, D: BranchDecomposition
-                ) -> List[Tuple[Tuple[str, str], int]]:
-    return [(edge, M.lam(mask) + 1) for edge, mask in displayed_sets(D, M)]
+        side[v] = 1 << M.ground.index[lab]
+    for v, p in reversed(walk):
+        side[p] |= side[v]
+    return [((v, p), side[v]) for v, p in walk]
 
 
 def decomposition_width(M: Matroid, D: BranchDecomposition) -> int:
-    """Max over edges of lambda(displayed)+1; |E| for ground sets of <=1."""
-    if M.ground.n <= 1:
-        D.normalized(M.ground)   # still insist the tree is well formed
-        return M.ground.n
-    return max(w for _, w in edge_widths(M, D))
+    """Max over edges of lambda(displayed)+1; |E| for ground sets of <=1,
+    whose trees have no edge."""
+    return max((M.lam(mask) + 1 for _, mask in displayed_sets(D, M)),
+               default=M.ground.n)
 
 
 # -- exact branch-width ------------------------------------------------------
@@ -417,18 +389,10 @@ def expand_decomposition(D: BranchDecomposition, emap: ExpansionMap
     adj, labeled = D.normalized(base)
     if emap.t == 1:
         return D
-    if base.n == 0:
-        return BranchDecomposition.build([], [], {})
     if base.n == 1:
         return caterpillar_decomposition(emap.blocks[base.labels[0]])
-    vertices = list(adj.keys())
-    edges: List[Tuple[str, str]] = []
-    seen = set()
-    for v, nb in adj.items():
-        for u in nb:
-            if (u, v) not in seen:
-                seen.add((v, u))
-                edges.append((v, u))
+    vertices = list(adj)
+    edges = [(p, v) for v, p in _walk(adj)[1:]]
     prefix = "x"
     while any(v.startswith(prefix) for v in vertices):
         prefix += "x"
@@ -501,6 +465,7 @@ def verify_tangle(M: Matroid, tangle: Tangle, threads: int = 1
     the first elements of each class for the first violating state.
     """
     n = M.ground.n
+    E = M.ground.full
     k = tangle.order
     if isinstance(tangle.members, RankBelow):
         space = clonal_space(M)
@@ -519,12 +484,12 @@ def verify_tangle(M: Matroid, tangle: Tangle, threads: int = 1
     viol = memb & (lam >= k - 1)
     if viol.any():
         x = int(np.nonzero(viol)[0][0])
-        return False, {"axiom": "T1", "set": labels(space.canonical(x)),
+        return False, {"axiom": "T1", "set": labels(space.take(x, E)),
                        "lambda": int(lam[x]), "order": k}
     viol = (lam < k - 1) & ~(memb | memb[::-1])
     if viol.any():
         x = int(np.nonzero(viol)[0][0])
-        return False, {"axiom": "T2", "set": labels(space.canonical(x)),
+        return False, {"axiom": "T2", "set": labels(space.take(x, E)),
                        "lambda": int(lam[x]), "order": k}
     # inclusion-maximal members and a "some member contains x" table; the
     # dense number of a state is outer*(s_c+1)*st + x_c*st + inner, so
@@ -546,9 +511,9 @@ def verify_tangle(M: Matroid, tangle: Tangle, threads: int = 1
             # under subsets, so the rest is itself a member; explicit
             # members are masks, and Z is the first one containing it.
             y = int(maximal[int(np.nonzero(bad)[0][0])])
-            X = space.canonical(x)
-            Y = space.canonical(y, last=True)
-            Z = M.ground.full & ~(X | Y)
+            X = space.take(x, E)
+            Y = space.take(y, E, last=True)
+            Z = E & ~(X | Y)
             if not isinstance(tangle.members, RankBelow):
                 above = (np.arange(space.count) & Z) == Z
                 Z = int(np.nonzero(memb & above)[0][0])

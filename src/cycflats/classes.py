@@ -105,6 +105,17 @@ def _fits_arcs(n: int, pos: List[int], fmask: int, comps: List[int]
     return None
 
 
+def _straddler(n: int, pos: List[int], constraints
+               ) -> Optional[Tuple[int, int]]:
+    """The first (flat, component) whose component is not inside one
+    F-free cyclic arc of the order, if any."""
+    for fmask, comps in constraints:
+        bad = _fits_arcs(n, pos, fmask, comps)
+        if bad is not None:
+            return fmask, bad
+    return None
+
+
 def is_positroid_order(M: Matroid, order: Sequence[str]
                        ) -> Tuple[bool, Optional[dict]]:
     """Check the cyclic-interval property for one order.
@@ -114,15 +125,11 @@ def is_positroid_order(M: Matroid, order: Sequence[str]
     """
     constraints = _arc_constraints(M)
     pos = _order_positions(M, order)
-    n = M.ground.n
-    for fmask, comps in constraints:
-        bad = _fits_arcs(n, pos, fmask, comps)
-        if bad is not None:
-            return False, {
-                "flat": sorted(M.ground.labels_of(fmask)),
-                "component": sorted(M.ground.labels_of(bad)),
-            }
-    return True, None
+    bad = _straddler(M.ground.n, pos, constraints)
+    if bad is None:
+        return True, None
+    return False, {"flat": sorted(M.ground.labels_of(bad[0])),
+                   "component": sorted(M.ground.labels_of(bad[1]))}
 
 
 def positroid_search(M: Matroid
@@ -144,19 +151,13 @@ def positroid_search(M: Matroid
     checked = 0
     for rest in permutations(range(1, n)):
         # fix element 0 first; discard one of each reflected pair
-        if n > 2 and rest[0] > rest[-1]:
+        if rest[0] > rest[-1]:
             continue
         checked += 1
         pos = [0] * n
-        pos[0] = 0
         for p, i in enumerate(rest):
             pos[i] = p + 1
-        ok = True
-        for fmask, comps in constraints:
-            if _fits_arcs(n, pos, fmask, comps) is not None:
-                ok = False
-                break
-        if ok:
+        if _straddler(n, pos, constraints) is None:
             order = [None] * n
             for i in range(n):
                 order[pos[i]] = labels[i]

@@ -6,9 +6,9 @@ into a (corank, nullity) histogram and then expanded into x,y
 coefficients with exact big integers.  Corank and nullity depend only on
 the count vector of A over the clonal classes, so the histogram reads
 the state rank table of orbits.clonal_space (at most 2^24 states, the
-one table budget) and walks it in vectorized slices, each state
-weighted by its prod C(s_c, x_c) sets in exact int64 (the counts reach
-2^62).
+one table budget) and walks it in vectorized slices, each state sized
+by the digit sum of its number and weighted by its prod C(s_c, x_c)
+sets in exact int64 (the counts reach 2^62).
 
 The configuration of a coloop-free matroid is its unlabeled lattice of
 cyclic flats decorated with each flat's size and rank; it determines the
@@ -87,13 +87,13 @@ def tutte_polynomial(M: Matroid, threads: int = 1) -> TuttePolynomial:
     for start in range(0, space.count, _CHUNK):
         index = np.arange(start, min(start + _CHUNK, space.count),
                           dtype=np.uint64)
-        sets = space.sets(index)
+        sizes, weights = space.weights(index)
         ranks = table[start:start + index.size]
         key = np.subtract(R, ranks, dtype=np.int16)
         key *= nullmax + 1
-        key += np.bitwise_count(sets)
+        key += sizes
         key -= ranks
-        np.add.at(hist, key, space.weights(index))
+        np.add.at(hist, key, weights)
     coeffs: Dict[Tuple[int, int], int] = {}
     for a in range(R + 1):
         for b in range(nullmax + 1):

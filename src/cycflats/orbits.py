@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import weakref
 from math import comb, prod
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -141,44 +141,37 @@ class OrbitSpace:
                 out |= firsts[index // st % (s + 1)]
         return out
 
-    def weights(self, index: np.ndarray) -> np.ndarray:
-        """The number of sets in each dense state in index,
-        prod C(s_c, x_c), as int64."""
+    def weights(self, index: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The size of the sets of each dense state in index, its digit
+        sum, and the number of those sets, prod C(s_c, x_c), as uint8
+        and int64; index is uint64."""
+        sizes = np.bitwise_count(index & np.uint64(self.lo))
         out = np.ones(index.shape, dtype=np.int64)
         for s, st in zip(self.sizes, self.strides):
             if s > 1:
+                # uint8 digits keep the slice's working set small
+                digit = (index // st % (s + 1)).astype(np.uint8)
+                sizes += digit
                 binom = np.array([comb(s, d) for d in range(s + 1)],
                                  dtype=np.int64)
-                out *= binom[index // st % (s + 1)]
-        return out
+                out *= binom[digit]
+        return sizes, out
 
     # -- states and concrete sets -------------------------------------------
 
-    def take(self, index: int, within: int) -> int:
-        """The first x_c elements of each class inside `within`, for the
-        state with dense number `index`."""
+    def take(self, index: int, within: int, last: bool = False) -> int:
+        """The first x_c elements of each class inside `within`, or the
+        last ones when `last` is set, for the state with dense number
+        `index`."""
         out = 0
         for els, s, st in zip(self.members, self.sizes, self.strides):
             need = index // st % (s + 1)
-            for i in els:
+            for i in (reversed(els) if last else els):
                 if not need:
                     break
                 if within >> i & 1:
                     out |= 1 << i
                     need -= 1
-        return out
-
-    def canonical(self, index: int, last: bool = False) -> int:
-        """A concrete set of the state with dense number `index`.
-
-        It holds the first x_c elements of each class, or the last ones
-        when `last` is set.
-        """
-        out = 0
-        for els, s, st in zip(self.members, self.sizes, self.strides):
-            d = (index // st) % (s + 1)
-            for i in (els[s - d:] if last else els[:d]):
-                out |= 1 << i
         return out
 
     def index_of(self, mask: int) -> int:

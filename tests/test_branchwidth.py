@@ -1,4 +1,9 @@
+import json
+import os
 import random
+import subprocess
+import sys
+from itertools import islice
 
 import pytest
 
@@ -25,7 +30,7 @@ from cycflats import (
 from cycflats.catalog import entries, get, three_lines_tree
 from cycflats.verify import run_suite
 
-from oracles import bw_oracle, cubic_trees, lambda_oracle
+from oracles import _displayed_masks, bw_oracle, cubic_trees, lambda_oracle
 
 
 def test_three_lines_tree_widths():
@@ -105,6 +110,63 @@ def test_displayed_sets_cover_leaf_edges():
                for mask in masks
                if popcount(mask) in (1, n - 1)}
     assert len(singles) == n
+    rng = random.Random(97)
+    for k in range(2, 8):
+        m = uniform(2, k)
+        full = m.ground.full
+        for edges in islice(cubic_trees(k), 40):
+            D = _tree_with_junk(edges, m.ground.labels, rng)
+            shown = [mask for _, mask in displayed_sets(D, m)]
+            want = _displayed_masks(edges, k)
+            assert len(shown) == len(want)
+            assert ({frozenset((x, full ^ x)) for x in shown}
+                    == {frozenset((x, full ^ x)) for x in want})
+
+
+def _tree_with_junk(edges, labels, rng):
+    """The cubic tree `edges` with leaf i labeled labels[i], as a
+    decomposition whose normalization has work to do: some edges are
+    subdivided, small unlabeled subtrees hang off some vertices, and the
+    vertex order, edge order and edge orientation are shuffled."""
+    out = []
+    fresh = max(map(max, edges)) + 1
+    for u, v in edges:
+        path = [u] + list(range(fresh, fresh + rng.randrange(3))) + [v]
+        fresh += len(path) - 2
+        out += zip(path, path[1:])
+    for v in range(fresh):
+        if rng.random() < 0.3:
+            # a new unlabeled vertex with 0..2 unlabeled leaves of its own
+            junk = rng.randrange(3)
+            out.append((v, fresh))
+            out += [(fresh, fresh + 1 + i) for i in range(junk)]
+            fresh += 1 + junk
+    out = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in out]
+    rng.shuffle(out)
+    vertices = list(range(fresh))
+    rng.shuffle(vertices)
+    return BranchDecomposition.build(
+        ["v%d" % v for v in vertices],
+        [("v%d" % a, "v%d" % b) for a, b in out],
+        {lab: "v%d" % i for i, lab in enumerate(labels)})
+
+
+def test_decomposition_output_ignores_the_hash_seed():
+    code = (
+        "import json\n"
+        "from cycflats import displayed_sets, expand, expand_decomposition\n"
+        "from cycflats.catalog import get, three_lines_tree\n"
+        "m, t = get('fig2_M'), three_lines_tree()\n"
+        "grown = expand_decomposition(t, expand(m, 2)[1])\n"
+        "print(json.dumps([grown.to_json_dict(), displayed_sets(t, m)]))\n")
+    outs = set()
+    for seed in ("0", "1", "2"):
+        proc = subprocess.run([sys.executable, "-c", code], check=True,
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONHASHSEED=seed))
+        json.loads(proc.stdout)
+        outs.add(proc.stdout)
+    assert len(outs) == 1
 
 
 def test_json_round_trip_and_normalization():
@@ -148,6 +210,18 @@ def test_malformed_trees_are_rejected():
     with pytest.raises(MalformedTree):
         decomposition_width(u, BranchDecomposition.build(
             ["a", "b"], [("a", "b")], {"1": "a", "2": "b"}))
+    # |V| - 1 edges, but a 4-cycle with a labeled leaf on each cycle
+    # vertex beside a detached unlabeled edge is not a tree
+    with pytest.raises(MalformedTree, match="not connected"):
+        decomposition_width(u, BranchDecomposition.from_json_dict(NON_TREE))
+
+
+NON_TREE = {
+    "vertices": ["a", "b", "c", "d", "e", "f", "g", "h", "x", "y"],
+    "edges": [["a", "b"], ["b", "c"], ["c", "d"], ["d", "a"], ["a", "e"],
+              ["b", "f"], ["c", "g"], ["d", "h"], ["x", "y"]],
+    "leaf_labels": {"1": "e", "2": "f", "3": "g", "4": "h"},
+}
 
 
 def test_expanding_a_decomposition_scales_its_width():

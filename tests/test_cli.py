@@ -189,6 +189,21 @@ def test_bw_certify(tmp_path):
     assert json.loads(out)["certified"] is False
 
 
+def test_bw_certify_rejects_a_non_tree(tmp_path, u24_file):
+    # one edge fewer than vertices, but a 4-cycle beside a detached edge
+    deco = tmp_path / "cycle.json"
+    deco.write_text(json.dumps({
+        "vertices": ["a", "b", "c", "d", "e", "f", "g", "h", "x", "y"],
+        "edges": [["a", "b"], ["b", "c"], ["c", "d"], ["d", "a"],
+                  ["a", "e"], ["b", "f"], ["c", "g"], ["d", "h"],
+                  ["x", "y"]],
+        "leaf_labels": {"1": "e", "2": "f", "3": "g", "4": "h"}}))
+    code, out, err = run_cli("bw", "--certify", u24_file, "--upper",
+                             str(deco), "--lower", "rank-lt:1:2")
+    assert (code, out) == (1, "")
+    assert "not connected" in err
+
+
 def test_tangle_verify_command():
     d = run_json("tangle", "verify", "fig2_M", "--family", "rank-lt:2",
                  "--order", "3")

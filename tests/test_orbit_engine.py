@@ -87,7 +87,7 @@ def test_take_decodes_the_dense_number(M, rnd):
     for x in range(space.count):
         assert space.index_of(space.take(x, full)) == x
         # any set holding at least the counts of x will do
-        within = space.canonical(x, last=True) | rnd.getrandbits(64) & full
+        within = space.take(x, full, last=True) | rnd.getrandbits(64) & full
         X = space.take(x, within)
         assert X & ~within == 0
         assert space.index_of(X) == x
@@ -206,10 +206,10 @@ def test_states_carry_rank_and_lambda(seed):
     ranks, lams = space.ranks(), space.lams()
     assert space.count == len(ranks)
     for i in range(space.count):
-        x = space.canonical(i)
+        x = space.take(i, M.ground.full)
         assert space.index_of(x) == i
         assert ranks[i] == rank[x] and lams[i] == lam[x]
-        y = space.canonical(i, last=True)
+        y = space.take(i, M.ground.full, last=True)
         assert popcount(x) == popcount(y) and rank[y] == rank[x]
 
 
@@ -225,7 +225,7 @@ def test_clone_free_states_are_masks():
     assert space.radix2 and space.count == 1 << 7
     assert space.lo == space.count - 1
     assert space.pairs == 3 ** 7
-    assert all(space.canonical(x) == x == space.index_of(x)
+    assert all(space.take(x, F.ground.full) == x == space.index_of(x)
                for x in range(1 << 7))
     assert (space.lams() == lambda_oracle(F)).all()
     assert branch_width_exact(F)[0] == bw_oracle(F)
@@ -368,7 +368,7 @@ def test_sliced_rank_tables_match_the_oracles(monkeypatch):
         space = OrbitSpace(M)
         assert space.count > 1 << 3 and space.count % 7
         rank = rank_table_oracle(M)
-        canon = [space.canonical(i) for i in range(space.count)]
+        canon = [space.take(i, M.ground.full) for i in range(space.count)]
         index = np.arange(space.count, dtype=np.uint64)
         assert space.sets(index).tolist() == canon
         ranks = space.ranks()
