@@ -6,41 +6,67 @@ labels induced by removing it, with width lambda(X)+1, and the width of
 the decomposition is the maximum over edges.  Branch-width is the minimum
 width over all decompositions.
 
-branch_width_exact runs the dynamic program
+Branch-width satisfies the recursion
 
     g(X) = lambda(X)+1                                 for |X| = 1
     g(X) = max(lambda(X)+1,
                min over bipartitions {A,B} of X of max(g(A), g(B)))
 
 whose top value g(E) is the branch-width.  lambda and g depend only on
-how many elements of each clonal class X holds, so the program runs on
+how many elements of each clonal class X holds, so everything runs on
 count vectors (orbits.OrbitSpace).  g, lambda and the chosen splits are
 lists indexed by the dense state number; a split of state x is a state
 a <= x with complement x - a, both numbered the same way, and an optimal
 decomposition is rebuilt by handing each side the first elements of
-every class.  The splits of x are scanned by descending number only
-until one has max(g(A), g(B)) <= lambda(X)+1, since no split can bring
-g(X) lower, and the tree takes the first split of least width scanned.
-The worst-case work is the number of split pairs, prod over classes of
-C(s_c+2, 2); without clones that is 3^n and the states are the 2^n
-masks.  The budget is stated in that work: budget=b allows as many
-pairs as an n = b clone-free matroid, so t-expansions run far beyond
-18 elements: fig2_M^4 has n = 36 but three classes of 12, hence 91^3
+every class.  The worst-case work is the number of split pairs, prod
+over classes of C(s_c+2, 2); without clones that is 3^n and the states
+are the 2^n masks.
+
+branch_width_exact picks one of two engines by that worst case.  Up to
+TANGLE_PAIRS it runs the recursion bottom up over every state (_bottom_up).
+The splits of x are scanned by descending number only until one has
+max(g(A), g(B)) <= lambda(X)+1, since no split can bring g(X) lower, and
+the tree takes the first split of least width scanned.  The budget is
+checked first against the worst case: budget=b allows as many pairs as
+an n = b clone-free matroid, so t-expansions run far beyond 18
+elements: fig2_M^4 has n = 36 but three classes of 12, hence 91^3
 (under 3^13) pairs.
 
+Above TANGLE_PAIRS the tangles go first (_tangle_first):
+
+1. A lower bound L.  The maximum order of a tangle equals the
+   branch-width (Robertson-Seymour, Graph Minors X), so a verified
+   tangle of order k gives bw >= k.  For the family {X : r(X) < c},
+   axiom T1 admits one order, the largest lambda of a member plus 2;
+   L is the best order that verifies over c = r(M) down to 1, or 1.
+2. One decision, "E builds at width L" (the decision version of
+   Oum-Seymour, "Testing branch-width", JCTB 97, 2007): a state x builds
+   when lambda(x)+1 <= L and x is one element or some split of x has
+   both sides building.  It runs top down with a memo, scans splits in
+   the order above and stops at the first that builds: on fig2_N^6
+   (n = 54) it examines 504 split pairs of a worst case of 1.2e9.  If E
+   builds, L is the branch-width and the splits found are the tree.
+   The budget counts the pairs examined, as the scan goes.
+3. Otherwise bw >= L+1, and the bottom-up recursion runs with the base
+   raised to max(lambda(X)+1, F), F = L+1, and the worst-case budget
+   check.  That is still exact: g_F = max(g, F) satisfies the raised
+   recursion, because max(F, min_s max(g(A), g(B))) =
+   min_s max(g_F(A), g_F(B)), so g_F(E) = max(bw, F) = bw whenever
+   F <= bw.  The higher base stops more split scans early.
+
 Beyond the budget, a width is certified: an explicit decomposition gives
-the upper bound, and a verified tangle of order k gives the lower bound k
-(the maximum order of a tangle equals the branch-width).  Tangle axioms
-over the families {X : r(X) < c} are verified by vectorized scans over
-the count-vector states; the three-sets axiom (T3) reduces to pairs of
-maximal member states x, y whose remainder max(0, s - x - y) lies in a
-member.  Explicit member lists are checked on the 2^n masks.
+the upper bound, and a verified tangle of order k gives the lower bound
+k.  Tangle axioms over the families {X : r(X) < c} are verified by
+vectorized scans over the count-vector states; the three-sets axiom (T3)
+reduces to pairs of maximal member states x, y whose remainder
+max(0, s - x - y) lies in a member.  Explicit member lists are checked
+on the 2^n masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -56,6 +82,7 @@ from .expansion import ExpansionMap
 from .orbits import OrbitSpace, check_states, clonal_space
 
 DP_BUDGET = 18
+TANGLE_PAIRS = 3 ** 10     # worst-case split pairs past which tangles go first
 
 
 # -- branch decompositions --------------------------------------------------
@@ -208,30 +235,33 @@ def check_split_pairs(M: Matroid, budget: int = DP_BUDGET):
 
 def branch_width_exact(M: Matroid, budget: int = DP_BUDGET
                        ) -> Tuple[int, BranchDecomposition]:
-    """Optimal width and a realizing decomposition, by count-vector DP."""
+    """Optimal width and a realizing decomposition: the bottom-up DP up
+    to TANGLE_PAIRS worst-case split pairs, tangle first above."""
+    if clonal_space(M).pairs > TANGLE_PAIRS:
+        return _tangle_first(M, budget)
     check_split_pairs(M, budget)
+    return _bottom_up(M)
+
+
+def _bottom_up(M: Matroid, floor: int = 0
+               ) -> Tuple[int, BranchDecomposition]:
+    """The DP g_F with F = floor, which is bw(M) for any floor <= bw(M)."""
     n = M.ground.n
-    space = clonal_space(M)
     labels = M.ground.labels
     if n == 0:
         return 0, BranchDecomposition.build([], [], {})
     if n == 1:
         return 1, BranchDecomposition.build(["v0"], [], {labels[0]: "v0"})
+    space = clonal_space(M)
     lam = space.lams().tolist()
     g = [0] * space.count
     split = [0] * space.count
     lo = space.lo
-    # (stride, next stride) of each wide class, lowest first
-    wide = [(st, st * (s + 1)) for s, st in zip(space.sizes, space.strides)
-            if s > 1]
+    wide = _wide(space)
     big = n + 2
-    # Splits a + b = x are enumerated as a descending, stopping once
-    # a < b.  The one-element classes are the low bits lo and step as
-    # submasks, (a - 1) & x; the wide part ah steps down in mixed radix:
-    # the lowest wide class holding a count loses one, and the classes
-    # under it refill from x.  Without clones only the first branch
-    # runs.  No split can bring g(x) below lambda(x)+1, so the scan stops
-    # at the first split that reaches it.
+    # The steps of _splits, inline: a generator costs this loop half
+    # again its time.  No split can bring g(x) below max(lambda(x)+1,
+    # floor), so the scan stops at the first split that reaches it.
     for x in range(1, space.count):
         xl = x & lo
         xh = x - xl
@@ -241,6 +271,8 @@ def branch_width_exact(M: Matroid, budget: int = DP_BUDGET
         best = big
         bestc = 0
         lx = lam[x] + 1
+        if lx < floor:
+            lx = floor
         while True:
             if sub != ah:
                 sub = (sub - 1) & xm
@@ -265,19 +297,59 @@ def branch_width_exact(M: Matroid, budget: int = DP_BUDGET
                     break
         g[x] = best if bestc and best > lx else lx
         split[x] = bestc
+    return g[-1], _tree(M, space, split)
 
+
+def _wide(space: OrbitSpace) -> List[Tuple[int, int]]:
+    """(stride, next stride) of each wide class, lowest first."""
+    return [(st, st * (s + 1)) for s, st in zip(space.sizes, space.strides)
+            if s > 1]
+
+
+def _splits(x: int, lo: int, wide) -> Iterator[Tuple[int, int]]:
+    """The splits a + b = x with a >= b > 0, by descending a.
+
+    The one-element classes are the low bits lo and step as submasks,
+    (a - 1) & x; the wide part ah steps down in mixed radix: the lowest
+    wide class holding a count loses one, and the classes under it
+    refill from x.  Without clones only the first branch runs.
+    """
+    xl = x & lo
+    xh = x - xl
+    ah = xh
+    xm = x
+    sub = x
+    while True:
+        if sub != ah:
+            sub = (sub - 1) & xm
+        elif ah:
+            for st, nxt in wide:
+                if ah % nxt:
+                    break
+            ah += xh % st - st
+            sub = xm = ah | xl
+        else:
+            return
+        c = x - sub
+        if sub < c:
+            return
+        yield sub, c
+
+
+def _tree(M: Matroid, space: OrbitSpace, split) -> BranchDecomposition:
+    """The decomposition of the stored splits from the full state down
+    (n >= 2)."""
     ids = _Ids("v")
     edges: List[Tuple[str, str]] = []
     leaf_labels: Dict[str, str] = {}
     full = space.count - 1
     top = split[full]
     T = space.take(top, M.ground.full)
-    grow = (space, split, labels, ids, edges, leaf_labels)
+    grow = (space, split, M.ground.labels, ids, edges, leaf_labels)
     a = _grow(grow, top, T)
     b = _grow(grow, full - top, M.ground.full & ~T)
     edges.append((a, b))
-    return g[full], BranchDecomposition.build(ids.vertices, edges,
-                                              leaf_labels)
+    return BranchDecomposition.build(ids.vertices, edges, leaf_labels)
 
 
 def _grow(tree, x: int, X: int) -> str:
@@ -294,6 +366,87 @@ def _grow(tree, x: int, X: int) -> str:
     edges.append((v, _grow(tree, c, C)))
     edges.append((v, _grow(tree, x - c, X & ~C)))
     return v
+
+
+def _tangle_first(M: Matroid, budget: int = DP_BUDGET
+                  ) -> Tuple[int, BranchDecomposition]:
+    """bw(M) for n >= 2: decide E at the tangle bound L, else the DP
+    floored at L + 1.  The decision counts the split pairs it examines
+    against 3^min(budget, 22); the DP checks its worst case first."""
+    space = clonal_space(M)
+    check_states(space.count, "exact branch-width")
+    L = _tangle_bound(M)
+    d = _Decision(space, space.lams().tolist(), L, budget)
+    if d.builds(space.count - 1):
+        return L, _tree(M, space, d.split)
+    check_split_pairs(M, budget)
+    return _bottom_up(M, L + 1)
+
+
+def _tangle_bound(M: Matroid) -> int:
+    """The largest order of a verified rank-below tangle, or 1.
+
+    T1 admits one order for the family {X : r(X) < c}: the largest
+    lambda of a member plus 2, which does not grow as c falls, so the
+    first c from r(M) down that verifies is the best.  c = r(M) + 1 is
+    skipped: E is a member of that family, so it is never a tangle.
+    """
+    space = clonal_space(M)
+    r = M.rank_total
+    most = np.zeros(r + 1, dtype=np.int16)
+    np.maximum.at(most, space.ranks(), space.lams())
+    # orders[c - 1] is the order of the family {X : r(X) < c}
+    orders = (np.maximum.accumulate(most) + 2).tolist()
+    for c in range(r, 0, -1):
+        if verify_tangle(M, Tangle(orders[c - 1], RankBelow(c)))[0]:
+            return orders[c - 1]
+    return 1
+
+
+class _Decision:
+    """Memoised top-down test "state x builds at width k": lambda(x)+1
+    <= k, and x is one element or some split a + b = x has both sides
+    building.  known[x] is 0 while unknown, 1 when x builds and 2 when it
+    does not; split[x] is the second part of the split found.  Past
+    3^min(budget, 22) examined split pairs it raises BudgetExceeded.
+    Recursion goes through self, not through a closure naming itself, so
+    no reference cycle keeps the tables alive after the call."""
+
+    def __init__(self, space: OrbitSpace, lam: List[int], k: int,
+                 budget: int):
+        self.lam = lam
+        self.k = k
+        self.budget = min(budget, 22)
+        self.pairs = 3 ** self.budget    # split pairs left to examine
+        self.lo = space.lo
+        self.wide = _wide(space)
+        self.single = frozenset(space.strides)
+        self.known = bytearray(space.count)
+        self.split = [0] * space.count
+
+    def builds(self, x: int) -> bool:
+        """Does state x build, given lambda(x)+1 <= k?  Splits are
+        scanned in the DP's order and the first that builds is kept."""
+        known = self.known[x]
+        if known:
+            return known == 1
+        ok = x in self.single
+        if not ok:
+            lam, k = self.lam, self.k
+            for sub, c in _splits(x, self.lo, self.wide):
+                self.pairs -= 1
+                if self.pairs < 0:
+                    raise BudgetExceeded(
+                        "exact branch-width examined more than 3^%d split "
+                        "pairs (the work of an n = %d matroid without "
+                        "clones)" % (self.budget, self.budget))
+                if (lam[sub] < k and lam[c] < k and self.builds(c)
+                        and self.builds(sub)):
+                    self.split[x] = c
+                    ok = True
+                    break
+        self.known[x] = 1 if ok else 2
+        return ok
 
 
 # -- decomposition builders --------------------------------------------------

@@ -56,7 +56,7 @@ _GLOBALS = (
     ("--threads", {"type": int, "metavar": "N", "default": 1,
                    "help": "accepted and ignored"}),
     ("--budget", {"metavar": "SPEC", "default": None,
-                  "help": "exact:<n> lets the exact DP do the 3^n split "
+                  "help": "exact:<n> lets exact branch-width do the 3^n split "
                           "pairs of a clone-free n-element matroid; "
                           "certify is accepted and ignored"}),
 )
@@ -129,9 +129,9 @@ def build_parser() -> Parser:
     p.add_argument("--count", type=_positive, required=True)
     p.add_argument("--slack", type=int, default=0)
 
-    p = add("bw", "branch-width: exact DP or two-sided certificate", cmd_bw)
+    p = add("bw", "branch-width: exact or two-sided certificate", cmd_bw)
     p.add_argument("--exact", action="store_true",
-                   help="exact dynamic program (the default mode)")
+                   help="exact branch-width (the default mode)")
     p.add_argument("--certify", action="store_true",
                    help="verify --upper decomposition and --lower tangle")
     p.add_argument("--upper", metavar="FILE",
@@ -209,7 +209,7 @@ def _parse_labels(text: str) -> List[str]:
 
 
 def _parse_budget(args) -> Optional[int]:
-    """The exact-DP budget n >= 1 of --budget exact:<n>; None without
+    """The exact budget n >= 1 of --budget exact:<n>; None without
     one.  certify is accepted and changes nothing."""
     raw = args.budget
     if raw is None or raw == "certify":

@@ -178,8 +178,9 @@ class Matroid:
     def rank_table(self, threads: int = 1) -> np.ndarray:
         """Vector of r(X) for every mask X, as uint8, built once."""
         if self._table is None:
-            self._table = rank_slices(self, 1 << self.ground.n,
-                                      lambda masks: masks)
+            self._table = rank_slices(
+                self, 1 << self.ground.n,
+                lambda start, stop: np.arange(start, stop, dtype=np.uint64))
         return self._table
 
     def lam_table(self, threads: int = 1) -> np.ndarray:
@@ -385,16 +386,15 @@ def rank_of_mask_array(M: Matroid, masks: np.ndarray) -> np.ndarray:
 
 def rank_slices(M: Matroid, count: int, sets_of) -> np.ndarray:
     """The uint8 rank table of entries 0..count-1, ranked _CHUNK at a
-    time; sets_of(index) gives the uint64 masks of an array of entry
-    numbers.  More than 2^TABLE_BUDGET entries are refused."""
+    time; sets_of(start, stop) gives the uint64 masks of entries
+    start..stop-1.  More than 2^TABLE_BUDGET entries are refused."""
     if count > 1 << TABLE_BUDGET:
         raise BudgetExceeded("rank table of %d entries, budget is 2^%d"
                              % (count, TABLE_BUDGET))
     table = np.empty(count, dtype=np.uint8)
     for start in range(0, count, _CHUNK):
-        index = np.arange(start, min(start + _CHUNK, count), dtype=np.uint64)
-        table[start:start + index.size] = rank_of_mask_array(
-            M, sets_of(index))
+        stop = min(start + _CHUNK, count)
+        table[start:stop] = rank_of_mask_array(M, sets_of(start, stop))
     return table
 
 

@@ -58,6 +58,24 @@ def test_exact_decomposition_achieves_the_value():
         assert decomposition_width(m, deco) == value
 
 
+# (bw(M^t), bw(N^t)) for t = 1..6
+BW_OF_EXPANSIONS = {
+    "fig1": [(3, 3), (4, 5), (5, 7), (7, 9), (8, 11), (9, 13)],
+    "fig2": [(3, 4), (5, 6), (7, 8), (9, 11), (11, 13), (13, 15)],
+    "fig3": [(3, 3), (5, 5), (7, 7), (9, 9), (11, 11), (13, 13)],
+}
+
+
+@pytest.mark.parametrize("fig", sorted(BW_OF_EXPANSIONS))
+def test_branch_width_of_the_catalog_expansions(fig):
+    # exact under the default budget up to fig2_N^6: n = 54 and 1.2e9
+    # worst-case split pairs
+    for t, want in enumerate(BW_OF_EXPANSIONS[fig], 1):
+        got = tuple(branch_width_exact(expand(get(fig + side), t)[0])[0]
+                    for side in ("_M", "_N"))
+        assert got == want, (fig, t)
+
+
 def test_cubic_tree_count():
     assert sum(1 for _ in cubic_trees(3)) == 1
     assert sum(1 for _ in cubic_trees(4)) == 3

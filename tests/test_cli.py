@@ -175,6 +175,15 @@ def test_bw_exact_and_budget():
     assert "budget" in err2.lower()
 
 
+def test_bw_exact_on_the_sixfold_expansion(tmp_path):
+    # fig2_N^6 has 1.2e9 worst-case split pairs, past the default budget,
+    # but the tangle-first path examines few of them
+    path = tmp_path / "n6.json"
+    doc = run_json("expand", "fig2_N", "--t", "6")
+    path.write_text(json.dumps(doc["matroid"]))
+    assert run_json("bw", "--exact", "--input", str(path))["value"] == 15
+
+
 def test_bw_certify(tmp_path):
     deco = tmp_path / "tree.json"
     deco.write_text(json.dumps(three_lines_tree().to_json_dict()))

@@ -19,6 +19,7 @@ from cycflats import (BudgetExceeded, Tangle, branch_width_exact,
                       rank_bounded_family, tutte_connectivity,
                       tutte_polynomial, uniform, validate_axioms,
                       verify_tangle, vertical_connectivity)
+from cycflats.branchwidth import _bottom_up, _tangle_bound, _tangle_first
 from cycflats.catalog import entries, get
 from cycflats.orbits import OrbitSpace
 from cycflats.verify import random_matroid
@@ -263,6 +264,66 @@ def test_budget_counts_split_pairs():
     assert branch_width_exact(fano(), budget=7)[0] == bw_oracle(fano())
     # U(2,7) is one class of seven: 36 pairs
     assert branch_width_exact(uniform(2, 7), budget=4)[0] == 3
+
+
+# -- the tangle-first path ----------------------------------------------------
+
+def tangle_path_agrees(M, seen):
+    """The tangle-first path against the bottom-up DP, with its tree at
+    the returned width; seen counts the inputs the decision settles and
+    the ones that fall back to the floored DP."""
+    value, deco = _tangle_first(M)
+    assert value == _bottom_up(M)[0]
+    assert decomposition_width(M, deco) == value
+    seen["decided" if _tangle_bound(M) == value else "fallback"] += 1
+    return value
+
+
+def test_tangle_path_matches_the_dp_and_the_oracles():
+    seen = Counter()
+
+    @SETTINGS
+    @given(st.one_of(expansions(max_n=8), catalog_minors(max_n=8)))
+    def check(M):
+        assume(M.ground.n >= 2)
+        want = bw_oracle(M) if M.ground.n <= 7 else bw_dp_oracle(M)
+        assert tangle_path_agrees(M, seen) == want
+
+    check()
+    assert seen["decided"] and seen["fallback"], seen
+
+
+def test_tangle_path_on_expansions_with_short_bounds():
+    # on some of these the rank-below bound falls short of bw, so the
+    # decision at the bound fails and the floored DP runs
+    rng = random.Random(71)
+    seen = Counter()
+    for _ in range(60):
+        M = expand(random_matroid(rng, 6), rng.choice([2, 3]))[0]
+        if M.ground.n >= 2:
+            tangle_path_agrees(M, seen)
+    assert seen["decided"] and seen["fallback"], seen
+
+
+def test_tangle_path_on_sparse_paving_matroids():
+    # n >= 3r + 3: the rank-below-r sets are a tangle of order r + 1 = bw
+    rng = random.Random(73)
+    seen = Counter()
+    for n in (12, 13, 14):
+        cands = list(combinations(range(n), 3))
+        rng.shuffle(cands)
+        M = sparse_paving(n, 3, packing(cands, 3))
+        assert tangle_path_agrees(M, seen) == 4
+    assert seen == {"decided": 3}
+
+
+def test_the_decision_counts_the_pairs_it_examines():
+    M = expand(get("fig2_N"), 4)[0]
+    assert OrbitSpace(M).pairs > 3 ** 15
+    # the decision at the tangle order 11 examines 138 split pairs
+    with pytest.raises(BudgetExceeded, match="examined more than 3\\^4"):
+        branch_width_exact(M, budget=4)
+    assert branch_width_exact(M, budget=5)[0] == 11
 
 
 
