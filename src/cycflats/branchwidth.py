@@ -70,7 +70,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import GroundSet, Matroid
+from .core import _CHUNK, GroundSet, Matroid
 from .errors import (
     BudgetExceeded,
     InvalidTangle,
@@ -646,24 +646,33 @@ def verify_tangle(M: Matroid, tangle: Tangle, threads: int = 1
                        "lambda": int(lam[x]), "order": k}
     # inclusion-maximal members and a "some member contains x" table; the
     # dense number of a state is outer*(s_c+1)*st + x_c*st + inner, so
-    # axis 1 of each reshaped view is the count x_c
+    # axis 1 of each reshaped view is the count x_c.  The one-byte flags
+    # are read as words of up to 8 that divide st, so that a short stride
+    # still gives numpy long runs; & ~ and | keep each byte 0 or 1.
     mx = memb.copy()
     sup = memb.copy()
     for s, st in zip(space.sizes, space.strides):
-        shape = (-1, s + 1, st)
-        mx.reshape(shape)[:, :-1] &= ~memb.reshape(shape)[:, 1:]
-        up = sup.reshape(shape)
+        word = np.dtype("u%d" % min(8, st & -st))
+        shape = (-1, s + 1, st // word.itemsize)
+        member, top, up = (a.view(word).reshape(shape)
+                           for a in (memb, mx, sup))
+        top[:, :-1] &= ~member[:, 1:]
         for d in range(s - 1, -1, -1):
             up[:, d] |= up[:, d + 1]
+    # one gather per block of rows X of the (X, Y) table; its first hit
+    # in row-major order is the first violating pair
     maximal = np.nonzero(mx)[0]
-    for x in maximal.tolist():
-        bad = sup[space.remainders(x, maximal)]
+    step = max(1, _CHUNK // max(1, len(maximal)))
+    for start in range(0, len(maximal), step):
+        rows = maximal[start:start + step]
+        bad = sup[space.remainders(rows[:, None], maximal)]
         if bad.any():
             # X and Y overlap as little as their counts allow, and a
             # member contains the rest.  A rank-below family is closed
             # under subsets, so the rest is itself a member; explicit
             # members are masks, and Z is the first one containing it.
-            y = int(maximal[int(np.nonzero(bad)[0][0])])
+            row, col = divmod(int(np.argmax(bad)), len(maximal))
+            x, y = int(rows[row]), int(maximal[col])
             X = space.take(x, E)
             Y = space.take(y, E, last=True)
             Z = E & ~(X | Y)

@@ -30,10 +30,14 @@ member, (Z1) r(least) = 0, (Z2) 0 < r(Y)-r(X) < |Y-X| for nested pairs,
 and then, on one sweep over incomparable pairs, that the join cl(X | Y)
 and the meet cyc(X & Y) computed by the min formula stay in the family and
 are the order-theoretic join and meet there, and (Z3) submodularity with
-the parallel-correction term.  The bound checks read per-member bitsets of
-the members above and below, so with m members the sweep costs O(m^3)
-word operations, independent of the ground-set size.  Violations raise
-with a witness attached; nothing is silently repaired.
+the parallel-correction term.  The joins and meets come from one numpy
+pass of the min formula over (pairs x members) arrays, in blocks of at
+most _CHUNK entries, so memory stays bounded for any m; the checks then
+take one Python step per pair, reading per-member bitsets of the members
+above and below.  With m members the sweep costs O(m^3) vectorized word
+operations and O(m^2) interpreted steps, independent of the ground-set
+size.  Violations raise with a witness attached; nothing is silently
+repaired.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from .errors import (
 
 MAX_GROUND = 62          # bitmask ground-set cap
 TABLE_BUDGET = 24        # entries of one rank table, as a power of two
-_CHUNK = 1 << 16         # entries ranked per vectorized slice
+_CHUNK = 1 << 16         # entries per vectorized slice or block
 
 
 def popcount(x: int) -> int:
@@ -87,7 +91,13 @@ class GroundSet:
         return m
 
     def labels_of(self, mask: int) -> tuple:
-        return tuple(self.labels[i] for i in range(self.n) if mask >> i & 1)
+        out = []
+        mask &= self.full
+        while mask:
+            low = mask & -mask
+            out.append(self.labels[low.bit_length() - 1])
+            mask ^= low
+        return tuple(out)
 
     def __eq__(self, other):
         return isinstance(other, GroundSet) and self.labels == other.labels
@@ -438,13 +448,10 @@ def validate_axioms(flats, ground) -> Matroid:
         if a in byset and byset[a] != r:
             raise ValueError("the same set listed with two ranks")
         byset[a] = r
-    recs = sorted(byset.items(), key=lambda ar: _label_key(ground, ar[0]))
-
-    meet_all = recs[0][0]
-    join_all = 0
-    for a, _ in recs:
-        meet_all &= a
-        join_all |= a
+    M = Matroid(ground, byset.items())
+    recs = M.zee
+    meet_all = M.loops
+    join_all = ground.full & ~M.coloops
     if meet_all not in byset:
         raise Z0Violation("no least member: the intersection of the family "
                           "is not in the family",
@@ -462,14 +469,18 @@ def validate_axioms(flats, ground) -> Matroid:
             witness=ground.labels_of(meet_all))
 
     # (Z2) strict, properly submaximal growth on nested pairs.  The same
-    # sweep fills the order bitsets: bit k of up[i] is set when member k
-    # contains member i, bit k of down[i] when member i contains member k.
+    # sweep fills the order bitsets (bit k of up[i] is set when member k
+    # contains member i, bit k of down[i] when member i contains member k)
+    # and lists the incomparable pairs i < j in sweep order, as i * m + j.
     m = len(recs)
     up = [0] * m
     down = [0] * m
+    pairs = []
     for i, (x, rx) in enumerate(recs):
         for j, (y, ry) in enumerate(recs):
             if x & ~y:
+                if j > i and y & ~x:
+                    pairs.append(i * m + j)
                 continue
             up[i] |= 1 << j
             down[j] |= 1 << i
@@ -483,20 +494,29 @@ def validate_axioms(flats, ground) -> Matroid:
                                   sorted(ground.labels_of(y)), gap,
                                   popcount(y & ~x)),
                     witness=(ground.labels_of(x), ground.labels_of(y)))
+    if not pairs:
+        return M
 
     # (Z0) joins and meets: computed by the min formula, must land in the
     # family and must be the order-theoretic join/meet there; a violating
     # bound is the first member, in family order, of a bitset difference.
-    # (Z3) on the same pair sweep (incomparable pairs suffice).
-    M = Matroid(ground, recs)
+    # (Z3) on the same pair sweep (incomparable pairs suffice).  The joins
+    # and meets of a block of pairs come from one array pass; the checks
+    # then run pair by pair, so the first violation is the sweep's first.
+    masks = np.array([a for a, _ in recs], dtype=np.uint64)
+    # (Z1) and (Z2) bound every rank by 61, so rank plus count fits uint8
+    ranks = np.array([r for _, r in recs], dtype=np.uint8)
+    pairs = np.array(pairs, dtype=np.intp)
     pos = {a: k for k, (a, _) in enumerate(recs)}
-    for i in range(m):
-        x, rx = recs[i]
-        for j in range(i + 1, m):
+    step = max(1, _CHUNK // m)
+    for start in range(0, len(pairs), step):
+        lo, hi = np.divmod(pairs[start:start + step], m)
+        joins, meets = _joins_and_meets(masks, ranks, masks[lo], masks[hi],
+                                        ground.full)
+        for i, j, jn, mt in zip(lo.tolist(), hi.tolist(), joins.tolist(),
+                                meets.tolist()):
+            x, rx = recs[i]
             y, ry = recs[j]
-            if (x & ~y) == 0 or (y & ~x) == 0:
-                continue   # comparable: join/meet trivial, (Z3) automatic
-            jn = M.closure(x | y)
             kj = pos.get(jn)
             if kj is None:
                 raise Z0Violation(
@@ -516,7 +536,6 @@ def validate_axioms(flats, ground) -> Matroid:
                        sorted(ground.labels_of(y))),
                     witness=(ground.labels_of(x), ground.labels_of(y),
                              ground.labels_of(z)))
-            mt = M.cyclic_part(x & y)
             km = pos.get(mt)
             if km is None:
                 raise Z0Violation(
@@ -549,6 +568,22 @@ def validate_axioms(flats, ground) -> Matroid:
                     witness=(ground.labels_of(x), ground.labels_of(y)))
 
     return M
+
+
+def _joins_and_meets(masks: np.ndarray, ranks: np.ndarray, xs: np.ndarray,
+                     ys: np.ndarray, full: int) -> list:
+    """[cl(x | y), cyc(x & y)] for each pair of the uint64 arrays xs, ys,
+    over the family (masks, ranks): the set grown by the union of its
+    attaining members, and cut to their intersection, as in
+    Matroid._attaining, with one (pairs, members) array per set."""
+    out = []
+    for sets, fill, op in ((xs | ys, 0, np.bitwise_or),
+                           (xs & ys, full, np.bitwise_and)):
+        vals = np.bitwise_count(sets[:, None] & ~masks) + ranks
+        att = vals == vals.min(axis=1, keepdims=True)
+        out.append(op(sets, op.reduce(np.where(att, masks, np.uint64(fill)),
+                                      axis=1)))
+    return out
 
 
 # -- constructors -----------------------------------------------------------

@@ -186,14 +186,15 @@ class OrbitSpace:
         return sum(st * popcount(mask & m)
                    for m, st in zip(self.masks, self.strides))
 
-    def remainders(self, x: int, ys: np.ndarray) -> np.ndarray:
-        """Dense numbers of max(0, s - x - y) for each y in ys."""
+    def remainders(self, x, ys: np.ndarray) -> np.ndarray:
+        """Dense numbers of max(0, s - x - y) for each y in ys; x is a
+        state number or an int64 array that broadcasts against ys."""
         if self.radix2:
             return (self.count - 1) & ~(x | ys)
-        out = np.zeros(ys.shape, dtype=np.int64)
+        out = 0
         for s, st in zip(self.sizes, self.strides):
             rest = s - x // st % (s + 1) - ys // st % (s + 1)
-            out += st * np.maximum(rest, 0)
+            out = out + st * np.maximum(rest, 0)
         return out
 
 

@@ -4,10 +4,12 @@ the expansion and duality identities on random matroids."""
 
 import random
 from collections import Counter
+from itertools import combinations
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import cycflats.core
 from cycflats import (AxiomViolation, GroundSet, deflate, expand, popcount,
                       validate_axioms)
 from cycflats.verify import random_matroid
@@ -181,3 +183,76 @@ def test_dual_of_deletion_is_contraction_of_dual(M, seed):
     assert M.delete(x).dual().equals(M.dual().contract(x))
     assert M.contract(x).dual().equals(M.dual().delete(x))
 
+
+# -- families whose pair sweep spans several blocks ---------------------------
+
+def sparse_paving_family(seed, n=14, r=4, k=60):
+    """The cyclic flats of a sparse paving matroid of rank r on n
+    elements: k r-sets meeting pairwise in at most r - 2 elements, packed
+    greedily in seeded order, with rank r - 1."""
+    cands = [sum(1 << i for i in c) for c in combinations(range(n), r)]
+    random.Random(seed).shuffle(cands)
+    chs = []
+    for c in cands:
+        if all(popcount(c & h) <= r - 2 for h in chs):
+            chs.append(c)
+            if len(chs) == k:
+                break
+    assert len(chs) == k
+    ground = GroundSet([str(i + 1) for i in range(n)])
+    return ground, chs, [(0, 0), (ground.full, r)] + [(h, r - 1) for h in chs]
+
+
+def oracle_key(labels):
+    """The member order of validate_oracle: by size, then by label tuple."""
+    return lambda a: (popcount(a), tuple(lab for i, lab in enumerate(labels)
+                                         if a >> i & 1))
+
+
+def sweep_position(masks, labels, x, y):
+    """The number of incomparable pairs that the sweep of validate_oracle
+    visits before the pair of members x and y."""
+    order = sorted(masks, key=oracle_key(labels))
+    i, j = sorted((order.index(x), order.index(y)))
+    return sum(1 for p in range(len(order)) for q in range(p + 1, len(order))
+               if order[p] & ~order[q] and order[q] & ~order[p]
+               and (p, q) < (i, j))
+
+
+def test_validation_across_blocks_matches_the_oracle():
+    r = 4
+    ground, chs, flats = sparse_paving_family(2)
+    labels = ground.labels
+    # 62 members and 1,770 incomparable pairs: more than one block
+    step = cycflats.core._CHUNK // (len(flats) + 1)
+    assert len(flats) >= 60 and len(chs) * (len(chs) - 1) // 2 > step
+    # an r-set s of rank r - 1 that meets one circuit-hyperplane h in
+    # r - 1 elements and the others in at most r - 2: (Z3) fails on the
+    # pair (h, s) alone, which lies past the first block when both come
+    # late in the member order
+    key = oracle_key(labels)
+    pairs = []
+    for c in combinations(range(ground.n), r):
+        s = sum(1 << i for i in c)
+        meets = [h for h in chs if popcount(s & h) >= r - 1]
+        if len(meets) == 1 and s not in chs:
+            pairs.append((s, meets[0]))
+    added, h = max(pairs, key=lambda sh: sorted(map(key, sh)))
+    masks = [a for a, _ in flats] + [added]
+    assert sweep_position(masks, labels, added, h) >= step
+    cases = {
+        "accepted": flats,
+        "drop": [f for f in flats if f[0] != chs[0]],
+        "raise": [(a, rk + (a == ground.full)) for a, rk in flats],
+        "add": flats + [(added, r - 1)],
+    }
+    got = {}
+    for kind, family in cases.items():
+        family = sorted(family)
+        want = validate_oracle(family, labels)
+        assert _verdict(family, ground) == want, kind
+        got[kind] = want and want[0]
+    # a sparse paving family without one circuit-hyperplane is one too;
+    # raising r(E) breaks (Z3) on two that share r - 2 elements
+    assert got == {"accepted": None, "drop": None, "raise": "Z3Violation",
+                   "add": "Z3Violation"}

@@ -326,6 +326,83 @@ def test_the_decision_counts_the_pairs_it_examines():
     assert branch_width_exact(M, budget=5)[0] == 11
 
 
+# -- the T3 check in blocks of rows -------------------------------------------
+
+def first_t3_pair(space, member):
+    """The first pair (x, y) of inclusion-maximal member states, in dense
+    order, whose remainder max(0, s - x - y) is a member: a plain double
+    loop over a family closed under subsets."""
+    classes = list(zip(space.sizes, space.strides))
+    digits = {x: [x // st % (s + 1) for s, st in classes]
+              for x in range(space.count) if member[x]}
+    maximal = [x for x, dx in digits.items() if not any(
+        d < s and member[x + st] for d, (s, st) in zip(dx, classes))]
+    for x in maximal:
+        room = [(st, s - d) for d, (s, st) in zip(digits[x], classes)]
+        for y in maximal:
+            rest = sum(st * (left - d) for (st, left), d
+                       in zip(room, digits[y]) if left > d)
+            if member[rest]:
+                return maximal, x, y
+    return maximal, None, None
+
+
+def t3_witness_agrees(M, c, k, member):
+    """verify_tangle's T3 witness for the sets of rank below c, given as
+    member flags of the dense states, is the first violating pair of
+    maximal members; returns that pair's row and the number of maximal
+    members."""
+    space = OrbitSpace(M)
+    E = M.ground.full
+    maximal, x, y = first_t3_pair(space, member)
+    X, Y = space.take(x, E), space.take(y, E, last=True)
+    want = [sorted(M.ground.labels_of(a)) for a in (X, Y, E & ~(X | Y))]
+    assert verify_tangle(M, Tangle(k, rank_bounded_family(M, c))) == (
+        False, {"axiom": "T3", "sets": want})
+    return maximal.index(x), len(maximal)
+
+
+def test_t3_witness_is_the_first_pair_past_the_first_block():
+    # rank 5 on 15 elements: three disjoint circuit-hyperplanes cover E,
+    # and every other triple of sets of rank below 5 misses an element;
+    # more circuit-hyperplanes, drawn in seeded order, separate the clones
+    n, r = 15, 5
+    parts = [(0, 1, 2, 3, 8), (4, 5, 6, 7, 9), (10, 11, 12, 13, 14)]
+    cands = list(combinations(range(n), r))
+    random.Random(5).shuffle(cands)
+    chs = []
+    for c in parts + cands:
+        if all(len(set(c) & set(h)) <= r - 2 for h in chs):
+            chs.append(c)
+            M = sparse_paving(n, r, chs)
+            if len(M.clonal_classes()) == n:
+                break
+    masks = {sum(1 << i for i in h) for h in chs}
+    member = [popcount(x) < r or x in masks for x in range(1 << n)]
+    row, count = t3_witness_agrees(M, r, r + 1, member)
+    # more than 256 maximal members: more than one block of rows, and
+    # the violating row lies past the first
+    assert count > 256 and row >= cycflats.core._CHUNK // count
+
+
+def test_t3_witness_on_an_expansion():
+    M = expand(get("fig2_N"), 3)[0]
+    space = OrbitSpace(M)
+    assert not space.radix2
+    member = [M.rank(space.take(x, M.ground.full)) < 9
+              for x in range(space.count)]
+    t3_witness_agrees(M, 9, 10, member)
+
+
+def test_remainders_broadcast_a_column_of_states():
+    space = OrbitSpace(expand(get("fig2_N"), 2)[0])
+    assert not space.radix2
+    xs = np.arange(space.count)
+    ys = xs[::7]
+    want = np.stack([space.remainders(int(x), ys) for x in xs])
+    assert np.array_equal(space.remainders(xs[:, None], ys), want)
+
+
 
 # -- tau, kappa and the Tutte histogram on states ---------------------------
 
