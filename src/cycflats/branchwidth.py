@@ -620,7 +620,8 @@ def verify_tangle(M: Matroid, tangle: Tangle, threads: int = 1
     n = M.ground.n
     E = M.ground.full
     k = tangle.order
-    if isinstance(tangle.members, RankBelow):
+    below = isinstance(tangle.members, RankBelow)
+    if below:
         space = clonal_space(M)
     else:
         space = OrbitSpace(M, [1 << i for i in range(n)])
@@ -648,17 +649,20 @@ def verify_tangle(M: Matroid, tangle: Tangle, threads: int = 1
     # dense number of a state is outer*(s_c+1)*st + x_c*st + inner, so
     # axis 1 of each reshaped view is the count x_c.  The one-byte flags
     # are read as words of up to 8 that divide st, so that a short stride
-    # still gives numpy long runs; & ~ and | keep each byte 0 or 1.
+    # still gives numpy long runs; & ~ and | keep each byte 0 or 1.  A
+    # rank-below family is closed under subsets, so its superset table is
+    # the member table itself.
     mx = memb.copy()
-    sup = memb.copy()
+    sup = memb if below else memb.copy()
     for s, st in zip(space.sizes, space.strides):
         word = np.dtype("u%d" % min(8, st & -st))
         shape = (-1, s + 1, st // word.itemsize)
         member, top, up = (a.view(word).reshape(shape)
                            for a in (memb, mx, sup))
         top[:, :-1] &= ~member[:, 1:]
-        for d in range(s - 1, -1, -1):
-            up[:, d] |= up[:, d + 1]
+        if not below:
+            for d in range(s - 1, -1, -1):
+                up[:, d] |= up[:, d + 1]
     # one gather per block of rows X of the (X, Y) table; its first hit
     # in row-major order is the first violating pair
     maximal = np.nonzero(mx)[0]
@@ -676,7 +680,7 @@ def verify_tangle(M: Matroid, tangle: Tangle, threads: int = 1
             X = space.take(x, E)
             Y = space.take(y, E, last=True)
             Z = E & ~(X | Y)
-            if not isinstance(tangle.members, RankBelow):
+            if not below:
                 above = (np.arange(space.count) & Z) == Z
                 Z = int(np.nonzero(memb & above)[0][0])
             return False, {"axiom": "T3",

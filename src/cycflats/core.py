@@ -8,9 +8,15 @@ of an arbitrary subset X is recovered as
 
 Subsets of the ground set are bitmasks over a fixed label order, so the
 ground set is capped at 62 elements and the rank formula is a short loop
-(or a vectorized numpy scan over many masks).  rank_slices builds every
-whole rank table, over the 2^n masks or over count-vector states, in
-slices, as uint8: at most 2^TABLE_BUDGET entries, 16 MB.
+(or a vectorized numpy scan over many masks, rank_of_mask_array).
+rank_slices builds every whole rank table, over the 2^n masks or over
+count-vector states, as uint8: at most 2^TABLE_BUDGET entries, 16 MB.
+It cuts the table into rows of about sqrt(_CHUNK) entries along which
+the high digits are fixed, so each member's term of the formula over
+_CHUNK entries is the outer sum of a popcount vector over a row, computed
+once per table, and one popcount per row.  With m members a table of N
+entries costs O(m * N) uint8 work, and besides the table it holds one
+buffer of at most _CHUNK entries and the popcount vectors.
 
 Call A an attaining member for X when r(A) + |X - A| = r(X).  For any
 family of (set, rank) pairs, valid or not, the minimum formula gives
@@ -189,8 +195,8 @@ class Matroid:
         """Vector of r(X) for every mask X, as uint8, built once."""
         if self._table is None:
             self._table = rank_slices(
-                self, 1 << self.ground.n,
-                lambda start, stop: np.arange(start, stop, dtype=np.uint64))
+                self, [1 << j for j in range(self.ground.n + 1)],
+                lambda index: index)
         return self._table
 
     def lam_table(self, threads: int = 1) -> np.ndarray:
@@ -394,17 +400,56 @@ def rank_of_mask_array(M: Matroid, masks: np.ndarray) -> np.ndarray:
     return out
 
 
-def rank_slices(M: Matroid, count: int, sets_of) -> np.ndarray:
-    """The uint8 rank table of entries 0..count-1, ranked _CHUNK at a
-    time; sets_of(start, stop) gives the uint64 masks of entries
-    start..stop-1.  More than 2^TABLE_BUDGET entries are refused."""
+def rank_slices(M: Matroid, strides: Sequence[int], sets_of) -> np.ndarray:
+    """The uint8 rank table of the states of a mixed-radix numbering.
+
+    strides: the ascending state strides, 1 first and the number of
+    states last (1, 2, 4, ..., 2^n for masks); the set of a state is the
+    disjoint union of the sets of its digits, and sets_of(index) gives
+    the uint64 masks of an array of state numbers.  More than
+    2^TABLE_BUDGET states are refused.
+
+    The table is ranked in rows of B states, B the smallest stride with
+    B^2 >= min(count, _CHUNK), so the digits at and above B are fixed
+    along a row.  For a member A and the state X at offset i of row j
+
+        r(A) + |X - A| = low_A[i] + col_A[j],
+
+    with low_A[i] = r(A) + |set(i) - A| and col_A[j] = |set(jB) - A|.
+    The vector low_A is computed once per table and col_A for _CHUNK // B
+    rows at a time, so a member costs one broadcast add and one minimum
+    over those rows, both uint8.  With m members that is O(m * count)
+    uint8 work plus O(m * (B + count / B)) popcounts, with one buffer of
+    at most _CHUNK entries and (m, B) and (m, _CHUNK // B) vectors beside
+    the table.
+    """
+    count = strides[-1]
     if count > 1 << TABLE_BUDGET:
         raise BudgetExceeded("rank table of %d entries, budget is 2^%d"
                              % (count, TABLE_BUDGET))
+    B = min(st for st in strides if st * st >= min(count, _CHUNK))
+    comp = np.array([M.ground.full & ~a for a, _ in M.zee],
+                    dtype=np.uint64)[:, None]
+    ranks = np.array([r for _, r in M.zee], dtype=np.uint8)[:, None]
+
+    def misses(index):
+        # |set(x) - A|, the member A on axis 0 and the state x on axis 1
+        return np.bitwise_count(comp & sets_of(index))
+
+    low = (misses(np.arange(B, dtype=np.uint64)) + ranks)[:, None, :]
     table = np.empty(count, dtype=np.uint8)
-    for start in range(0, count, _CHUNK):
-        stop = min(start + _CHUNK, count)
-        table[start:stop] = rank_of_mask_array(M, sets_of(start, stop))
+    rows = table.reshape(-1, B)
+    step = _CHUNK // B
+    buf = np.empty(rows[:step].shape, dtype=np.uint8)
+    for start in range(0, len(rows), step):
+        part = rows[start:start + step]
+        cols = misses(np.arange(start * B, (start + len(part)) * B, B,
+                                dtype=np.uint64))[:, :, None]
+        tmp = buf[:len(part)]
+        np.add(cols[0], low[0], out=part)
+        for col, lo in zip(cols[1:], low[1:]):
+            np.add(col, lo, out=tmp)
+            np.minimum(part, tmp, out=part)
     return table
 
 

@@ -23,11 +23,9 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .core import Matroid, popcount
+from .core import _CHUNK, Matroid, popcount
 from .errors import HasColoops, MatroidError
 from .orbits import clonal_space
-
-_CHUNK = 1 << 16     # states per histogram slice
 
 
 class TuttePolynomial:

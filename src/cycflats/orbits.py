@@ -105,15 +105,9 @@ class OrbitSpace:
         if self.radix2:
             return self.M.rank_table()
         if self._ranks is None:
-            self._ranks = rank_slices(self.M, self.count, self._sets_between)
+            self._ranks = rank_slices(self.M, self.strides + [self.count],
+                                      self.sets)
         return self._ranks
-
-    def _sets_between(self, start: int, stop: int) -> np.ndarray:
-        """The canonical sets of states start..stop-1: a view of the kept
-        sets up to 2^STATE_BUDGET states, decoded past it."""
-        if self.count <= 1 << STATE_BUDGET:
-            return self.sets()[start:stop]
-        return self.sets(np.arange(start, stop, dtype=np.uint64))
 
     def lams(self) -> np.ndarray:
         """lambda(x) for every state, in dense order, as int16."""

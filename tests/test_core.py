@@ -1,6 +1,8 @@
 import json
 import random
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 from cycflats import (
@@ -14,7 +16,7 @@ from cycflats import (
     uniform,
     validate_axioms,
 )
-from cycflats.core import is_uniform
+from cycflats.core import _CHUNK, is_uniform, rank_of_mask_array
 from cycflats.catalog import get
 
 from oracles import rank_table_oracle, zee_oracle
@@ -95,6 +97,54 @@ def test_rank_table_matches_independence_oracle_on_catalog():
         table = m.rank_table()
         oracle = rank_table_oracle(m)
         assert list(table) == oracle
+
+
+def paving_with_loop_and_coloop(seed, n, r=4, k=40):
+    """A clone-free matroid on n elements: a sparse paving matroid of
+    rank r on n - 2 of them, with k circuit-hyperplanes packed greedily
+    in seeded order, plus a loop and a coloop at seeded positions."""
+    rng = random.Random(seed)
+    loop, coloop = rng.sample(range(n), 2)
+    rest = [i for i in range(n) if i not in (loop, coloop)]
+    cands = [sum(1 << rest[i] for i in c)
+             for c in combinations(range(n - 2), r)]
+    rng.shuffle(cands)
+    chs = []
+    for c in cands:
+        if all(popcount(c & h) <= r - 2 for h in chs):
+            chs.append(c)
+            if len(chs) == k:
+                break
+    top = sum(1 << i for i in rest)
+    flats = [(1 << loop, 0), (top | 1 << loop, r)]
+    flats += [(h | 1 << loop, r - 1) for h in chs]
+    return validate_axioms(flats, GroundSet([str(i) for i in range(n)]))
+
+
+def test_multi_block_rank_tables_match_the_mask_kernel_and_rank():
+    # tables of 2 to 16 blocks of _CHUNK masks, each checked whole against
+    # the plain kernel and at the ends of every block against the rank
+    # formula of single sets
+    for n in (17, 18, 19, 20):
+        M = paving_with_loop_and_coloop(n, n)
+        assert M.loops and M.coloops and len(M.clonal_classes()) == n
+        table = M.rank_table()
+        assert table.dtype == np.uint8 and table.size == 1 << n
+        masks = np.arange(1 << n, dtype=np.uint64)
+        assert np.array_equal(table, rank_of_mask_array(M, masks))
+        rng = random.Random(n)
+        ends = [x for b in range(0, 1 << n, _CHUNK)
+                for x in (b, b + _CHUNK - 1)]
+        picks = ends + [rng.randrange(1 << n) for _ in range(300)]
+        assert len(ends) == 2 * (1 << n) // _CHUNK >= 4
+        assert [int(table[x]) for x in picks] == [M.rank(x) for x in picks]
+
+
+def test_rank_tables_on_zero_and_one_elements():
+    empty = validate_axioms([(0, 0)], GroundSet([]))
+    assert empty.rank_table().tolist() == [0]
+    assert uniform(0, 1).rank_table().tolist() == [0, 0]
+    assert uniform(1, 1).rank_table().tolist() == [0, 1]
 
 
 def test_rank_is_min_over_cyclic_sets_and_superfamilies():

@@ -21,6 +21,7 @@ from cycflats import (BudgetExceeded, Tangle, branch_width_exact,
                       verify_tangle, vertical_connectivity)
 from cycflats.branchwidth import _bottom_up, _tangle_bound, _tangle_first
 from cycflats.catalog import entries, get
+from cycflats.core import rank_of_mask_array
 from cycflats.orbits import OrbitSpace
 from cycflats.verify import random_matroid
 
@@ -516,6 +517,42 @@ def test_sliced_rank_tables_match_the_oracles(monkeypatch):
         for x, y in TUTTE_POINTS:
             assert T.evaluate(x, y) == tutte_eval_oracle(M, x, y)
     assert OrbitSpace(F).radix2 and not OrbitSpace(M2).radix2
+
+
+def test_multi_block_state_tables_match_the_rank_formula():
+    # fig2_N^6 has strides 637 and 8281 and 157,339 states, so no stride
+    # or pass of the builder is a power of two; the Fano plane's
+    # 7-expansion has 2^21 states, past 2^STATE_BUDGET, where the sets of
+    # each pass are decoded from the digits
+    fano = validate_axioms(
+        [((), 0), (list("1234567"), 3)]
+        + [(line, 2) for line in ("124", "235", "346", "457", "156",
+                                  "267", "137")], list("1234567"))
+    fano7 = expand(fano, 7)[0]
+    assert OrbitSpace(fano7).count > 1 << cycflats.orbits.STATE_BUDGET
+    for M, count in ((expand(get("fig2_N"), 6)[0], 157339),
+                     (fano7, 1 << 21)):
+        space = OrbitSpace(M)
+        assert space.count == count and not space.radix2
+        ranks = space.ranks()
+        assert ranks.dtype == np.uint8 and ranks.size == count
+        index = np.arange(count, dtype=np.uint64)
+        assert np.array_equal(ranks, rank_of_mask_array(M, space.sets(index)))
+        # the ends of every run of the two largest strides up to _CHUNK
+        runs = [st for st in space.strides if st <= cycflats.core._CHUNK]
+        picks = [x for st in runs[-2:] for b in range(0, count, st)
+                 for x in (b, b + st - 1)]
+        rng = random.Random(count)
+        picks += [rng.randrange(count) for _ in range(300)]
+        assert [int(ranks[x]) for x in picks] == [
+            M.rank(space.take(x, M.ground.full)) for x in picks]
+    # a mixed-radix table of 3^16 states is refused before it is built
+    n, r = 16, 3
+    F = sparse_paving(n, r, packing(combinations(range(n), r), r))
+    space = OrbitSpace(expand(F, 2)[0])
+    assert not space.radix2 and space.count == 3 ** 16
+    with pytest.raises(BudgetExceeded):
+        space.ranks()
 
 
 def test_rank_tables_stop_at_the_table_budget():
