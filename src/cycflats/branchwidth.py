@@ -114,7 +114,7 @@ class BranchDecomposition:
             return cls.build(obj["vertices"],
                              [tuple(e) for e in obj["edges"]],
                              obj["leaf_labels"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise MalformedTree("malformed decomposition JSON: %s" % exc)
 
     def normalized(self, ground: GroundSet):

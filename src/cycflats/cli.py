@@ -22,7 +22,7 @@ from .classes import (is_positroid_order, positroid_search,
                       presentation_matroid, verify_presentation)
 from .connectivity import (flats_cover, tutte_connectivity,
                            vertical_connectivity)
-from .core import Matroid, from_json, from_json_dict
+from .core import Matroid, from_json_dict
 from .errors import AxiomViolation, InvalidTangle, MatroidError
 from .expansion import Presentation, deflate_with_map, expand, matroid_union
 from .invariants import config_isomorphic, configuration, tutte_polynomial
@@ -195,7 +195,7 @@ def _resolve(spec: Optional[str], args) -> Matroid:
         if spec in catalog.names():
             return catalog.get(spec)
         if Path(spec).exists():
-            return from_json(Path(spec).read_text())
+            return from_json_dict(_read_json(spec))
         raise UsageError("%r is neither a catalog name nor a file" % spec)
     raise UsageError("no matroid given: pass a catalog name, a file path, "
                      "--input FILE, or --catalog NAME")

@@ -77,7 +77,9 @@ def _scan(M: Matroid, qualifier: str):
     check_states(space.count, "connectivity scan")
     lam = space.lams()
     if qualifier == "size":
-        sizes = np.bitwise_count(space.sets())
+        low, high = space.rows()
+        sizes = np.add.outer(np.bitwise_count(high),
+                             np.bitwise_count(low)).ravel()
         bound = np.minimum(sizes, n - sizes)
     else:
         ranks = space.ranks()

@@ -12,10 +12,10 @@ ground set is capped at 62 elements and the rank formula is a short loop
 rank_slices builds every whole rank table, over the 2^n masks or over
 count-vector states, as uint8: at most 2^TABLE_BUDGET entries, 16 MB.
 It cuts the table into rows of about sqrt(_CHUNK) entries along which
-the high digits are fixed, so each member's term of the formula over
-_CHUNK entries is the outer sum of a popcount vector over a row, computed
-once per table, and one popcount per row.  With m members a table of N
-entries costs O(m * N) uint8 work, and besides the table it holds one
+the high digits are fixed; from the sets of one row and of the row
+starts, a member's term over _CHUNK entries is the outer sum of a
+popcount vector and one popcount per row.  With m members a table of N
+entries costs O(m * N) uint8 work, and besides the table it holds a
 buffer of at most _CHUNK entries and the popcount vectors.
 
 Call A an attaining member for X when r(A) + |X - A| = r(X).  For any
@@ -194,9 +194,10 @@ class Matroid:
     def rank_table(self, threads: int = 1) -> np.ndarray:
         """Vector of r(X) for every mask X, as uint8, built once."""
         if self._table is None:
+            B = row_length([1 << j for j in range(self.ground.n + 1)])
             self._table = rank_slices(
-                self, [1 << j for j in range(self.ground.n + 1)],
-                lambda index: index)
+                self, np.arange(B, dtype=np.uint64),
+                np.arange(0, 1 << self.ground.n, B, dtype=np.uint64))
         return self._table
 
     def lam_table(self, threads: int = 1) -> np.ndarray:
@@ -400,22 +401,31 @@ def rank_of_mask_array(M: Matroid, masks: np.ndarray) -> np.ndarray:
     return out
 
 
-def rank_slices(M: Matroid, strides: Sequence[int], sets_of) -> np.ndarray:
+def row_length(strides: Sequence[int]) -> int:
+    """The row length B of a table over a mixed-radix numbering: the
+    smallest of the ascending strides (the number of states last) with
+    B^2 >= min(count, _CHUNK), so the digits at and above B are fixed
+    along a row.  Tables of more than 2^TABLE_BUDGET states are refused
+    here, before any row is built."""
+    count = strides[-1]
+    if count > 1 << TABLE_BUDGET:
+        raise BudgetExceeded("rank table of %d entries, budget is 2^%d"
+                             % (count, TABLE_BUDGET))
+    return min(st for st in strides if st * st >= min(count, _CHUNK))
+
+
+def rank_slices(M: Matroid, low: np.ndarray, high: np.ndarray
+                ) -> np.ndarray:
     """The uint8 rank table of the states of a mixed-radix numbering.
 
-    strides: the ascending state strides, 1 first and the number of
-    states last (1, 2, 4, ..., 2^n for masks); the set of a state is the
-    disjoint union of the sets of its digits, and sets_of(index) gives
-    the uint64 masks of an array of state numbers.  More than
-    2^TABLE_BUDGET states are refused.
-
-    The table is ranked in rows of B states, B the smallest stride with
-    B^2 >= min(count, _CHUNK), so the digits at and above B are fixed
-    along a row.  For a member A and the state X at offset i of row j
+    The table is cut into rows of B = low.size states (row_length): low
+    holds the uint64 sets of the states of row 0 and high those of the
+    row starts, so state j*B + i has the set low[i] | high[j].  For a
+    member A
 
         r(A) + |X - A| = low_A[i] + col_A[j],
 
-    with low_A[i] = r(A) + |set(i) - A| and col_A[j] = |set(jB) - A|.
+    with low_A[i] = r(A) + |low[i] - A| and col_A[j] = |high[j] - A|.
     The vector low_A is computed once per table and col_A for _CHUNK // B
     rows at a time, so a member costs one broadcast add and one minimum
     over those rows, both uint8.  With m members that is O(m * count)
@@ -423,31 +433,22 @@ def rank_slices(M: Matroid, strides: Sequence[int], sets_of) -> np.ndarray:
     at most _CHUNK entries and (m, B) and (m, _CHUNK // B) vectors beside
     the table.
     """
-    count = strides[-1]
-    if count > 1 << TABLE_BUDGET:
-        raise BudgetExceeded("rank table of %d entries, budget is 2^%d"
-                             % (count, TABLE_BUDGET))
-    B = min(st for st in strides if st * st >= min(count, _CHUNK))
+    B = low.size
     comp = np.array([M.ground.full & ~a for a, _ in M.zee],
                     dtype=np.uint64)[:, None]
     ranks = np.array([r for _, r in M.zee], dtype=np.uint8)[:, None]
-
-    def misses(index):
-        # |set(x) - A|, the member A on axis 0 and the state x on axis 1
-        return np.bitwise_count(comp & sets_of(index))
-
-    low = (misses(np.arange(B, dtype=np.uint64)) + ranks)[:, None, :]
-    table = np.empty(count, dtype=np.uint8)
+    # |set - A|, the member A on axis 0 and the set on axis 1
+    first = (np.bitwise_count(comp & low) + ranks)[:, None, :]
+    table = np.empty(B * high.size, dtype=np.uint8)
     rows = table.reshape(-1, B)
-    step = _CHUNK // B
+    step = max(1, _CHUNK // B)
     buf = np.empty(rows[:step].shape, dtype=np.uint8)
     for start in range(0, len(rows), step):
         part = rows[start:start + step]
-        cols = misses(np.arange(start * B, (start + len(part)) * B, B,
-                                dtype=np.uint64))[:, :, None]
+        cols = np.bitwise_count(comp & high[start:start + step])[:, :, None]
         tmp = buf[:len(part)]
-        np.add(cols[0], low[0], out=part)
-        for col, lo in zip(cols[1:], low[1:]):
+        np.add(cols[0], first[0], out=part)
+        for col, lo in zip(cols[1:], first[1:]):
             np.add(col, lo, out=tmp)
             np.minimum(part, tmp, out=part)
     return table
@@ -666,7 +667,7 @@ def is_uniform(M: Matroid) -> Optional[tuple]:
 
 def from_json_dict(obj: dict) -> Matroid:
     try:
-        elements = obj["elements"]
+        elements = GroundSet(obj["elements"])
         flats = [(set(f["set"]), int(f["rank"]))
                  for f in obj["cyclic_flats"]]
     except (KeyError, TypeError) as exc:

@@ -6,9 +6,9 @@ into a (corank, nullity) histogram and then expanded into x,y
 coefficients with exact big integers.  Corank and nullity depend only on
 the count vector of A over the clonal classes, so the histogram reads
 the state rank table of orbits.clonal_space (at most 2^24 states, the
-one table budget) and walks it in vectorized slices, each state sized
-by the digit sum of its number and weighted by its prod C(s_c, x_c)
-sets in exact int64 (the counts reach 2^62).
+one table budget) in the row passes of core.rank_slices, each state
+sized and weighted by its prod C(s_c, x_c) sets from two row vectors
+(OrbitSpace.rows, row_counts), in exact int64 (the counts reach 2^62).
 
 The configuration of a coloop-free matroid is its unlabeled lattice of
 cyclic flats decorated with each flat's size and rank; it determines the
@@ -82,16 +82,22 @@ def tutte_polynomial(M: Matroid, threads: int = 1) -> TuttePolynomial:
     R = M.rank_total
     nullmax = n - R
     hist = np.zeros((R + 1) * (nullmax + 1), dtype=np.int64)
-    for start in range(0, space.count, _CHUNK):
-        index = np.arange(start, min(start + _CHUNK, space.count),
-                          dtype=np.uint64)
-        sizes, weights = space.weights(index)
-        ranks = table[start:start + index.size]
-        key = np.subtract(R, ranks, dtype=np.int16)
+    # state j*B + i: size and number of sets from row 0's state i and
+    # row start j, in the row passes of rank_slices
+    low, high = space.rows()
+    sizes_low, sizes_high = np.bitwise_count(low), np.bitwise_count(high)
+    counts_low, counts_high = space.row_counts()
+    rows = table.reshape(-1, low.size)
+    step = max(1, _CHUNK // low.size)
+    for start in range(0, len(rows), step):
+        part = slice(start, start + step)
+        key = np.subtract(R, rows[part], dtype=np.int16)
         key *= nullmax + 1
-        key += sizes
-        key -= ranks
-        np.add.at(hist, key, weights)
+        key += np.add.outer(sizes_high[part], sizes_low)
+        key -= rows[part]
+        # np.add.at is several times faster on flat arrays
+        np.add.at(hist, key.ravel(), np.multiply.outer(
+            counts_high[part], counts_low).ravel())
     coeffs: Dict[Tuple[int, int], int] = {}
     for a in range(R + 1):
         for b in range(nullmax + 1):
@@ -103,8 +109,7 @@ def tutte_polynomial(M: Matroid, threads: int = 1) -> TuttePolynomial:
                 ci = comb(a, i) * (-1) ** (a - i)
                 for j in range(b + 1):
                     cj = comb(b, j) * (-1) ** (b - j)
-                    key2 = (i, j)
-                    coeffs[key2] = coeffs.get(key2, 0) + cnt * ci * cj
+                    coeffs[i, j] = coeffs.get((i, j), 0) + cnt * ci * cj
     T = TuttePolynomial(coeffs)
     if any(c < 0 for c in T.coeffs.values()) or T.evaluate(2, 2) != 1 << n:
         raise MatroidError("internal check failed: Tutte coefficients "

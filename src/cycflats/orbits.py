@@ -21,9 +21,11 @@ numbering, just as reversing a 2^n table pairs each mask with its
 complement.
 
 Scans over many states (tau/kappa, tangle checks, unions) stop above
-2^STATE_BUDGET states; check_states is that one check.  The sets of
-that many states are kept; past it (the Tutte histogram goes to 2^24
-states) each slice of state numbers is decoded.
+2^STATE_BUDGET states; check_states is that one check.  A state number
+is split once, as x = j*B + i at a stride B (core.row_length), and its
+set is low[i] | high[j]: OrbitSpace.rows keeps the sets of the states of
+row 0 and of the row starts.  Sizes and numbers of sets combine two such
+vectors too, so no state is decoded digit by digit.
 
 clonal_space(M) keeps one space per matroid, so the tau/kappa scan, the
 Tutte histogram, the branch-width DP and the tangle checks of M share
@@ -34,12 +36,14 @@ it is the cached M.rank_table().
 from __future__ import annotations
 
 import weakref
+from itertools import accumulate
 from math import comb, prod
+from operator import or_
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Matroid, lam_of_ranks, popcount, rank_slices
+from .core import Matroid, lam_of_ranks, popcount, rank_slices, row_length
 from .errors import BudgetExceeded
 
 STATE_BUDGET = 20      # states of one scan, as a power of two
@@ -78,23 +82,12 @@ class OrbitSpace:
             stride *= s + 1
         self.count = stride                   # number of states
         self.radix2 = len(members) == n       # clone-free layout
-        # the digits of the one-element classes, the low bits of a number;
-        # digit j is element e_j >= j, and _shifts groups them by e_j - j
+        # the digits of the one-element classes, the low bits of a number
         self.lo = (1 << self.sizes.count(1)) - 1
-        self._shifts = {}
-        for j, els in enumerate(members[:self.lo.bit_length()]):
-            self._shifts[els[0] - j] = self._shifts.get(els[0] - j, 0) | 1 << j
         # work of the branch-width recursion: ordered splits a + b = x
         # summed over all x, which is 3^n without clones
         self.pairs = prod(comb(s + 2, 2) for s in self.sizes)
-        # firsts[c][d]: mask of the first d elements of class c
-        self._firsts = []
-        for els in members:
-            firsts = [0]
-            for i in els:
-                firsts.append(firsts[-1] | 1 << i)
-            self._firsts.append(np.array(firsts, dtype=np.uint64))
-        self._sets = None
+        self._rows = None
         self._ranks = None
 
     # -- state tables ------------------------------------------------------
@@ -105,58 +98,55 @@ class OrbitSpace:
         if self.radix2:
             return self.M.rank_table()
         if self._ranks is None:
-            self._ranks = rank_slices(self.M, self.strides + [self.count],
-                                      self.sets)
+            self._ranks = rank_slices(self.M, *self.rows())
         return self._ranks
 
     def lams(self) -> np.ndarray:
         """lambda(x) for every state, in dense order, as int16."""
         return lam_of_ranks(self.ranks(), self.M.rank_total)
 
+    def rows(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(low, high): the canonical sets of the B states of row 0 and
+        of the row starts jB, as uint64 masks, so state j*B + i has the
+        set low[i] | high[j]; built once."""
+        if self._rows is None:
+            B = row_length(self.strides + [self.count])
+            low = high = [0]        # Python ints: no numpy call per class
+            for els, st in zip(self.members, self.strides):
+                # class c varies slowest among the classes so far
+                firsts = accumulate((1 << i for i in els), or_, initial=0)
+                if st < B:
+                    low = [f | x for f in firsts for x in low]
+                else:
+                    high = [f | x for f in firsts for x in high]
+            self._rows = (np.array(low, dtype=np.uint64),
+                          np.array(high, dtype=np.uint64))
+        return self._rows
+
+    def row_counts(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Like rows(), the numbers of sets prod C(s_c, x_c), as int64:
+        state j*B + i stands for low[i] * high[j] sets."""
+        low, high = self.rows()
+        sets = np.concatenate([low, high])
+        counts = np.ones(sets.size, dtype=np.int64)
+        for s, m in zip(self.sizes, self.masks):
+            if s > 1:            # x_c is the size of the set within c
+                binom = np.array([comb(s, d) for d in range(s + 1)])
+                counts *= binom[np.bitwise_count(sets & np.uint64(m))]
+        return counts[:low.size], counts[low.size:]
+
     def sets(self, index: Optional[np.ndarray] = None) -> np.ndarray:
         """The canonical set of each dense state number in index (the
         first x_c elements of each class), as uint64 masks.  Among the
         sets of a state it is the smallest mask.  Without index, the
-        sets of all states in dense order, kept when there are clones;
-        index is read from them up to 2^STATE_BUDGET states."""
+        sets of all states in dense order."""
+        if index is not None and self.radix2:
+            return index.astype(np.uint64)     # the number is the mask
+        low, high = self.rows()
         if index is None:
-            if self.radix2:
-                return np.arange(self.count, dtype=np.uint64)
-            if self._sets is None:
-                # mixed radix: class c varies slowest among classes <= c
-                out = np.zeros(1, dtype=np.uint64)
-                for firsts in self._firsts:
-                    out = (firsts[:, None] | out[None, :]).ravel()
-                self._sets = out
-            return self._sets
-        index = index.astype(np.uint64, copy=False)
-        if self.radix2:
-            return index
-        if self.count <= 1 << STATE_BUDGET:
-            return self.sets()[index]
-        out = np.zeros(index.shape, dtype=np.uint64)
-        for shift, bits in self._shifts.items():
-            out |= (index & np.uint64(bits)) << np.uint64(shift)
-        for s, st, firsts in zip(self.sizes, self.strides, self._firsts):
-            if s > 1:
-                out |= firsts[index // st % (s + 1)]
-        return out
-
-    def weights(self, index: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The size of the sets of each dense state in index, its digit
-        sum, and the number of those sets, prod C(s_c, x_c), as uint8
-        and int64; index is uint64."""
-        sizes = np.bitwise_count(index & np.uint64(self.lo))
-        out = np.ones(index.shape, dtype=np.int64)
-        for s, st in zip(self.sizes, self.strides):
-            if s > 1:
-                # uint8 digits keep the slice's working set small
-                digit = (index // st % (s + 1)).astype(np.uint8)
-                sizes += digit
-                binom = np.array([comb(s, d) for d in range(s + 1)],
-                                 dtype=np.int64)
-                out *= binom[digit]
-        return sizes, out
+            return np.bitwise_or.outer(high, low).ravel()
+        j, i = np.divmod(index, low.size)
+        return high[j] | low[i]
 
     # -- states and concrete sets -------------------------------------------
 

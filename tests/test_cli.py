@@ -66,6 +66,38 @@ def test_unparsable_input_is_a_computation_error(tmp_path):
     assert code == 1
 
 
+def test_unreadable_positional_file_is_a_usage_error(tmp_path):
+    # a directory exists but cannot be read, as with --input
+    for args in (("tau", str(tmp_path)),
+                 ("config", "compare", "fig1_M", str(tmp_path)),
+                 ("union", str(tmp_path), "fig1_M")):
+        code, out, err = run_cli(*args)
+        assert (code, out) == (64, ""), args
+        assert "cannot read" in err
+    path = tmp_path / "m.json"
+    path.write_text("{not json")
+    code, _, _ = run_cli("tau", str(path))
+    assert code == 1
+
+
+def test_malformed_json_shapes_exit_1_with_one_line(tmp_path, u24_file):
+    deco = tmp_path / "t.json"
+    deco.write_text(json.dumps({
+        "vertices": ["a", "b", "c", "d", "x"],
+        "edges": [["a", "x"], ["b", "x"], ["c", "x"], ["d", "x"]],
+        "leaf_labels": ["a", "b", "c", "d"]}))
+    matroid = tmp_path / "m.json"
+    matroid.write_text(json.dumps({"elements": 4, "cyclic_flats": []}))
+    for args, kind in (
+            (("bw", "--certify", u24_file, "--upper", str(deco),
+              "--lower", "rank-lt:1:2"), "MalformedTree"),
+            (("tau", "--input", str(matroid)), "ValueError")):
+        code, out, err = run_cli(*args)
+        assert (code, out) == (1, ""), args
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("cycflats: %s:" % kind), err
+
+
 def test_unknown_catalog_is_a_usage_error():
     code, _, err = run_cli("rank", "--catalog", "nosuch", "--set", "1")
     assert code == 64

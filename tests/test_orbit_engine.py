@@ -4,7 +4,8 @@ independent oracles."""
 
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
+from math import comb
 
 import numpy as np
 import pytest
@@ -491,9 +492,9 @@ def test_clone_free_tangle_checks_keep_their_element_budget():
 
 
 def test_sliced_rank_tables_match_the_oracles(monkeypatch):
-    # slices of 7 entries, so every slice boundary is crossed, and the
-    # sets of a slice decoded from its digits, since 2^3 is below the
-    # state count, instead of read from the kept array
+    # passes of at most 7 entries, so every pass boundary is crossed,
+    # and state counts above 2^3, where the sets still come from the
+    # same row split, low[i] | high[j]
     monkeypatch.setattr(cycflats.core, "_CHUNK", 7)
     monkeypatch.setattr(cycflats.invariants, "_CHUNK", 7)
     monkeypatch.setattr(cycflats.orbits, "STATE_BUDGET", 3)
@@ -522,8 +523,8 @@ def test_sliced_rank_tables_match_the_oracles(monkeypatch):
 def test_multi_block_state_tables_match_the_rank_formula():
     # fig2_N^6 has strides 637 and 8281 and 157,339 states, so no stride
     # or pass of the builder is a power of two; the Fano plane's
-    # 7-expansion has 2^21 states, past 2^STATE_BUDGET, where the sets of
-    # each pass are decoded from the digits
+    # 7-expansion has 2^21 states, past 2^STATE_BUDGET, whose table and
+    # sets take the same row split in 32 passes
     fano = validate_axioms(
         [((), 0), (list("1234567"), 3)]
         + [(line, 2) for line in ("124", "235", "346", "457", "156",
@@ -553,6 +554,51 @@ def test_multi_block_state_tables_match_the_rank_formula():
     assert not space.radix2 and space.count == 3 ** 16
     with pytest.raises(BudgetExceeded):
         space.ranks()
+
+
+def test_tutte_histogram_over_two_passes_matches_a_plain_loop():
+    # the Fano plane's 4-expansion: 7 classes of 4 and 5^7 states, whose
+    # rows of 625 states take two passes of _CHUNK // 625 rows each
+    M = expand(fano(), 4)[0]
+    space = OrbitSpace(M)
+    B = space.rows()[0].size
+    assert space.count == 5 ** 7 and B == 625
+    assert space.count > (cycflats.invariants._CHUNK // B) * B
+    # clones lie in the same cyclic flats, so the classes come from zee
+    classes = {}
+    for e in range(M.ground.n):
+        key = tuple(a >> e & 1 for a, _ in M.zee)
+        classes.setdefault(key, []).append(e)
+    classes = list(classes.values())
+    outside = [([c for c, els in enumerate(classes) if not a >> els[0] & 1],
+                r) for a, r in M.zee]
+    R = M.rank_total
+    hist = Counter()
+    for x in product(*(range(len(els) + 1) for els in classes)):
+        rank = min(r + sum(x[c] for c in out) for out, r in outside)
+        sets = 1
+        for els, d in zip(classes, x):
+            sets *= comb(len(els), d)
+        hist[R - rank, sum(x) - rank] += sets
+    coeffs = Counter()
+    for (a, b), cnt in hist.items():
+        for i in range(a + 1):
+            for j in range(b + 1):
+                coeffs[i, j] += (cnt * comb(a, i) * (-1) ** (a - i)
+                                 * comb(b, j) * (-1) ** (b - j))
+    assert tutte_polynomial(M).coeffs == {k: c for k, c in coeffs.items()
+                                          if c}
+    # state j*B + i has the set low[i] | high[j]: both ends of every row
+    # and 300 random states of fig2_N^6 against the per-digit builder
+    N = expand(get("fig2_N"), 6)[0]
+    space = OrbitSpace(N)
+    B = space.rows()[0].size
+    picks = [x for j in range(0, space.count, B) for x in (j, j + B - 1)]
+    rng = random.Random(6)
+    picks += [rng.randrange(space.count) for _ in range(300)]
+    index = np.array(picks, dtype=np.uint64)
+    assert space.sets(index).tolist() == [
+        space.take(x, N.ground.full) for x in picks]
 
 
 def test_rank_tables_stop_at_the_table_budget():
