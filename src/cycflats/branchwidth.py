@@ -59,8 +59,9 @@ the upper bound, and a verified tangle of order k gives the lower bound
 k.  Tangle axioms over the families {X : r(X) < c} are verified by
 vectorized scans over the count-vector states; the three-sets axiom (T3)
 reduces to pairs of maximal member states x, y whose remainder
-max(0, s - x - y) lies in a member.  Explicit member lists are checked
-on the 2^n masks.
+max(0, s - x - y) lies in a member; that table is symmetric, so a block
+of rows x is checked only against the columns from its first row on.
+Explicit member lists are checked on the 2^n masks.
 """
 
 from __future__ import annotations
@@ -664,19 +665,22 @@ def verify_tangle(M: Matroid, tangle: Tangle, threads: int = 1
             for d in range(s - 1, -1, -1):
                 up[:, d] |= up[:, d + 1]
     # one gather per block of rows X of the (X, Y) table; its first hit
-    # in row-major order is the first violating pair
+    # in row-major order is the first violating pair.  The table is
+    # symmetric, so that hit has X at or before Y, and a block of rows
+    # needs only the columns from its first row on.
     maximal = np.nonzero(mx)[0]
     step = max(1, _CHUNK // max(1, len(maximal)))
     for start in range(0, len(maximal), step):
         rows = maximal[start:start + step]
-        bad = sup[space.remainders(rows[:, None], maximal)]
+        cols = maximal[start:]
+        bad = sup[space.remainders(rows[:, None], cols)]
         if bad.any():
             # X and Y overlap as little as their counts allow, and a
             # member contains the rest.  A rank-below family is closed
             # under subsets, so the rest is itself a member; explicit
             # members are masks, and Z is the first one containing it.
-            row, col = divmod(int(np.argmax(bad)), len(maximal))
-            x, y = int(rows[row]), int(maximal[col])
+            row, col = divmod(int(np.argmax(bad)), len(cols))
+            x, y = int(rows[row]), int(cols[col])
             X = space.take(x, E)
             Y = space.take(y, E, last=True)
             Z = E & ~(X | Y)

@@ -33,29 +33,35 @@ alone, so no construction of a matroid builds a 2^n table.
 validate_axioms() is the only entry point that builds a Matroid from raw
 data.  It checks, in order: that the family has a least and a greatest
 member, (Z1) r(least) = 0, (Z2) 0 < r(Y)-r(X) < |Y-X| for nested pairs,
-and then, on one sweep over incomparable pairs, that the join cl(X | Y)
-and the meet cyc(X & Y) computed by the min formula stay in the family and
-are the order-theoretic join and meet there, and (Z3) submodularity with
-the parallel-correction term.  The joins and meets come from one numpy
-pass of the min formula over (pairs x members) arrays, in blocks of at
-most _CHUNK entries, so memory stays bounded for any m; the checks then
-take one Python step per pair, reading per-member bitsets of the members
-above and below.  With m members the sweep costs O(m^3) vectorized word
-operations and O(m^2) interpreted steps, independent of the ground-set
-size.  Violations raise with a witness attached; nothing is silently
+and then, on the incomparable pairs, that the family is a lattice under
+inclusion and meets (Z3) submodularity with the parallel-correction
+term, stated with the lattice's own join and meet.  Bonin and de Mier
+("The lattice of cyclic flats of a matroid", Ann. Comb. 12, 2008) show
+that these conditions characterise the families of cyclic flats, and
+that cl(X | Y) and cyc(X & Y) are then that join and meet, so accepting
+a family needs no rank formula.  One Python sweep of m(m-1)/2 steps over
+the m members checks (Z2) and lists the incomparable pairs; the joins,
+meets and (Z3) sums of those pairs are read off an m x 2m bool
+containment matrix by one numpy pass per block of at most _CHUNK // m
+pairs, O(m^3) bool work in all, whatever the ground-set size.  Only on
+rejection does the rank-formula sweep run: joins and meets from the min
+formula, checked pair by pair up to the first pair the order pass
+flagged, so that the first violation in sweep order is named with its
+witness.  Violations raise with a witness attached; nothing is silently
 repaired.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NoReturn, Optional, Sequence
 
 import numpy as np
 
 from .errors import (
     BudgetExceeded,
     HasLoops,
+    MatroidError,
     Z0Violation,
     Z1Violation,
     Z2Violation,
@@ -514,23 +520,15 @@ def validate_axioms(flats, ground) -> Matroid:
             % (sorted(ground.labels_of(meet_all)), byset[meet_all]),
             witness=ground.labels_of(meet_all))
 
-    # (Z2) strict, properly submaximal growth on nested pairs.  The same
-    # sweep fills the order bitsets (bit k of up[i] is set when member k
-    # contains member i, bit k of down[i] when member i contains member k)
-    # and lists the incomparable pairs i < j in sweep order, as i * m + j.
+    # (Z2) strict, properly submaximal growth on nested pairs.  As recs is
+    # sorted by size, a member can lie only in a later one; the same sweep
+    # lists the incomparable pairs i < j in sweep order, as i * m + j.
     m = len(recs)
-    up = [0] * m
-    down = [0] * m
     pairs = []
     for i, (x, rx) in enumerate(recs):
-        for j, (y, ry) in enumerate(recs):
+        for j, (y, ry) in enumerate(recs[i + 1:], i + 1):
             if x & ~y:
-                if j > i and y & ~x:
-                    pairs.append(i * m + j)
-                continue
-            up[i] |= 1 << j
-            down[j] |= 1 << i
-            if i == j:
+                pairs.append(i * m + j)
                 continue
             gap = ry - rx
             if not (0 < gap < popcount(y & ~x)):
@@ -543,16 +541,67 @@ def validate_axioms(flats, ground) -> Matroid:
     if not pairs:
         return M
 
-    # (Z0) joins and meets: computed by the min formula, must land in the
-    # family and must be the order-theoretic join/meet there; a violating
-    # bound is the first member, in family order, of a bitset difference.
-    # (Z3) on the same pair sweep (incomparable pairs suffice).  The joins
-    # and meets of a block of pairs come from one array pass; the checks
-    # then run pair by pair, so the first violation is the sweep's first.
+    # (Z0) and (Z3) from the containment order, which decides validity by
+    # the theorem of Bonin and de Mier cited above.  Row i of order holds m
+    # flags for the members containing member i, then m for those contained
+    # in it, the last member first.  The flags common to the rows of a pair
+    # are its upper and lower bounds; as recs is sorted by size, the first
+    # upper flag is a smallest upper bound and the first lower flag a
+    # largest lower bound.  Every member containing that upper bound is an
+    # upper bound too, so it is the join exactly when the pair has as many
+    # upper bounds as it has members above it (itself included); likewise
+    # for the meet.  Neither count can fall short of that of its bound, so
+    # one sum checks both.  A pair that passes the rank-formula checks
+    # passes these, so on a failing pair _raise_first_violation finds the
+    # witness by the rank-formula sweep, at or before that pair.
+    masks = np.array([a for a, _ in recs], dtype=np.uint64)
+    ranks = np.array([r for _, r in recs], dtype=np.int16)
+    common = masks[:, None] & masks
+    sub = common == masks[:, None]
+    order = np.concatenate((sub, sub.T[:, ::-1]), axis=1)
+    above = sub.sum(axis=1)
+    below = sub.sum(axis=0)
+    # (Z3) as r(join) + r(meet) - |meet| <= r(X) + r(Y) - |X & Y|, since
+    # the meet lies in X & Y
+    slack = (ranks[:, None] + ranks - np.bitwise_count(common)).ravel()
+    loss = ranks - np.bitwise_count(masks)
+    pairs = np.array(pairs, dtype=np.intp)
+    step = max(1, _CHUNK // m)
+    for start in range(0, len(pairs), step):
+        block = pairs[start:start + step]
+        lo, hi = np.divmod(block, m)
+        both = order[lo] & order[hi]
+        join = np.argmax(both[:, :m], axis=1)
+        meet = m - 1 - np.argmax(both[:, m:], axis=1)
+        bad = both.sum(axis=1) != above[join] + below[meet]
+        bad |= ranks[join] + loss[meet] > slack[block]
+        if bad.any():
+            _raise_first_violation(
+                recs, ground, pairs[:start + int(np.argmax(bad)) + 1])
+    return M
+
+
+def _raise_first_violation(recs, ground, pairs: np.ndarray) -> NoReturn:
+    """Raise the first violation of (Z0) or (Z3) among the incomparable
+    pairs (i * m + j, in sweep order) of the members recs.
+
+    The joins cl(X | Y) and meets cyc(X & Y) come from the rank formula
+    (_joins_and_meets), in blocks of at most _CHUNK entries, and must
+    land in the family and be the order-theoretic join and meet there; a
+    violating bound is the first member, in family order, of a bitset
+    difference.  The checks run pair by pair, so the first violation is
+    the sweep's first.  Raises MatroidError if no pair fails.
+    """
+    m = len(recs)
+    # bit k of up[i] is set when member k contains member i, bit k of
+    # down[i] when member i contains member k
+    up = [sum(1 << k for k, (z, _) in enumerate(recs) if not x & ~z)
+          for x, _ in recs]
+    down = [sum(1 << k for k, (z, _) in enumerate(recs) if not z & ~x)
+            for x, _ in recs]
     masks = np.array([a for a, _ in recs], dtype=np.uint64)
     # (Z1) and (Z2) bound every rank by 61, so rank plus count fits uint8
     ranks = np.array([r for _, r in recs], dtype=np.uint8)
-    pairs = np.array(pairs, dtype=np.intp)
     pos = {a: k for k, (a, _) in enumerate(recs)}
     step = max(1, _CHUNK // m)
     for start in range(0, len(pairs), step):
@@ -613,7 +662,8 @@ def validate_axioms(flats, ground) -> Matroid:
                        rj + rm + correction, rx + ry),
                     witness=(ground.labels_of(x), ground.labels_of(y)))
 
-    return M
+    raise MatroidError("the order checks rejected a family that the "
+                      "rank-formula sweep accepts")
 
 
 def _joins_and_meets(masks: np.ndarray, ranks: np.ndarray, xs: np.ndarray,
@@ -665,11 +715,21 @@ def is_uniform(M: Matroid) -> Optional[tuple]:
     return (r, n) if want == have else None
 
 
+def _json_list(obj: dict, key: str) -> list:
+    """obj[key], which must be a JSON array: a string would otherwise be
+    read as the list of its characters."""
+    value = obj[key]
+    if not isinstance(value, list):
+        raise TypeError("%r must be a list, not %s"
+                        % (key, type(value).__name__))
+    return value
+
+
 def from_json_dict(obj: dict) -> Matroid:
     try:
-        elements = GroundSet(obj["elements"])
-        flats = [(set(f["set"]), int(f["rank"]))
-                 for f in obj["cyclic_flats"]]
+        elements = GroundSet(_json_list(obj, "elements"))
+        flats = [(set(_json_list(f, "set")), int(f["rank"]))
+                 for f in _json_list(obj, "cyclic_flats")]
     except (KeyError, TypeError) as exc:
         raise ValueError("malformed matroid JSON: %s" % exc)
     return validate_axioms(flats, elements)

@@ -88,10 +88,24 @@ def test_malformed_json_shapes_exit_1_with_one_line(tmp_path, u24_file):
         "leaf_labels": ["a", "b", "c", "d"]}))
     matroid = tmp_path / "m.json"
     matroid.write_text(json.dumps({"elements": 4, "cyclic_flats": []}))
+    # a string where a list is due would be split into its characters
+    strings = []
+    for k, doc in enumerate((
+            {"elements": "abc",
+             "cyclic_flats": [{"set": [], "rank": 0},
+                              {"set": ["a", "b", "c"], "rank": 2}]},
+            {"elements": ["a", "b", "c"],
+             "cyclic_flats": [{"set": [], "rank": 0},
+                              {"set": "abc", "rank": 2}]},
+            {"elements": ["a", "b", "c"], "cyclic_flats": "abc"})):
+        strings.append(tmp_path / ("s%d.json" % k))
+        strings[-1].write_text(json.dumps(doc))
     for args, kind in (
             (("bw", "--certify", u24_file, "--upper", str(deco),
               "--lower", "rank-lt:1:2"), "MalformedTree"),
-            (("tau", "--input", str(matroid)), "ValueError")):
+            (("tau", "--input", str(matroid)), "ValueError"),
+            *((("validate", "--input", str(path)), "ValueError")
+              for path in strings)):
         code, out, err = run_cli(*args)
         assert (code, out) == (1, ""), args
         assert len(err.splitlines()) == 1, err

@@ -6,12 +6,15 @@ import random
 from collections import Counter
 from itertools import combinations
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cycflats.core
-from cycflats import (AxiomViolation, GroundSet, deflate, expand, popcount,
+from cycflats import (AxiomViolation, GroundSet, Matroid, MatroidError,
+                      Z3Violation, deflate, expand, popcount,
                       validate_axioms)
+from cycflats.core import _raise_first_violation
 from cycflats.verify import random_matroid
 
 from oracles import rank_table_oracle, validate_oracle
@@ -219,6 +222,21 @@ def sweep_position(masks, labels, x, y):
                and (p, q) < (i, j))
 
 
+def late_violation(ground, chs, r):
+    """An r-set s of rank r - 1 that meets one circuit-hyperplane h in
+    r - 1 elements and the others in at most r - 2: (Z3) fails on the
+    pair (h, s) alone, which lies past the first block when both come
+    late in the member order.  Returns the latest such (s, h)."""
+    key = oracle_key(ground.labels)
+    pairs = []
+    for c in combinations(range(ground.n), r):
+        s = sum(1 << i for i in c)
+        meets = [h for h in chs if popcount(s & h) >= r - 1]
+        if len(meets) == 1 and s not in chs:
+            pairs.append((s, meets[0]))
+    return max(pairs, key=lambda sh: sorted(map(key, sh)))
+
+
 def test_validation_across_blocks_matches_the_oracle():
     r = 4
     ground, chs, flats = sparse_paving_family(2)
@@ -226,18 +244,7 @@ def test_validation_across_blocks_matches_the_oracle():
     # 62 members and 1,770 incomparable pairs: more than one block
     step = cycflats.core._CHUNK // (len(flats) + 1)
     assert len(flats) >= 60 and len(chs) * (len(chs) - 1) // 2 > step
-    # an r-set s of rank r - 1 that meets one circuit-hyperplane h in
-    # r - 1 elements and the others in at most r - 2: (Z3) fails on the
-    # pair (h, s) alone, which lies past the first block when both come
-    # late in the member order
-    key = oracle_key(labels)
-    pairs = []
-    for c in combinations(range(ground.n), r):
-        s = sum(1 << i for i in c)
-        meets = [h for h in chs if popcount(s & h) >= r - 1]
-        if len(meets) == 1 and s not in chs:
-            pairs.append((s, meets[0]))
-    added, h = max(pairs, key=lambda sh: sorted(map(key, sh)))
+    added, h = late_violation(ground, chs, r)
     masks = [a for a, _ in flats] + [added]
     assert sweep_position(masks, labels, added, h) >= step
     cases = {
@@ -256,3 +263,94 @@ def test_validation_across_blocks_matches_the_oracle():
     # raising r(E) breaks (Z3) on two that share r - 2 elements
     assert got == {"accepted": None, "drop": None, "raise": "Z3Violation",
                    "add": "Z3Violation"}
+
+
+# -- the order pass against the rank-formula sweep -----------------------------
+
+def formula_sweep(flats, ground):
+    """The rank-formula sweep over every incomparable pair of the family
+    (members sorted by size, so no member lies in an earlier one): its
+    first violation, or None when it accepts."""
+    recs = Matroid(ground, flats).zee
+    m = len(recs)
+    pairs = [i * m + j for i in range(m) for j in range(i + 1, m)
+             if recs[i][0] & ~recs[j][0]]
+    try:
+        _raise_first_violation(recs, ground, np.array(pairs, dtype=np.intp))
+    except AxiomViolation as exc:
+        return exc
+    except MatroidError:
+        return None
+    raise AssertionError("the sweep neither raised nor accepted")
+
+
+def raised(flats, ground):
+    try:
+        validate_axioms(flats, ground)
+    except AxiomViolation as exc:
+        return exc
+    return None
+
+
+def same_violation(a, b):
+    return (type(a), str(a), a.witness) == (type(b), str(b), b.witness)
+
+
+def test_order_pass_and_rank_formula_sweep_agree(monkeypatch):
+    verdicts = Counter()
+    flagged = []
+
+    def spy(recs, ground, pairs):
+        flagged.append(len(pairs))
+        _raise_first_violation(recs, ground, pairs)
+
+    monkeypatch.setattr(cycflats.core, "_raise_first_violation", spy)
+
+    @settings(SETTINGS, max_examples=600)
+    @given(st.one_of(families(), graded_families()))
+    def check(case):
+        ground, flats = case
+        flagged.clear()
+        got = raised(flats, ground)
+        if got is not None and not flagged:
+            verdicts["before the pass"] += 1
+            return
+        # the order pass rejects exactly the families that the sweep
+        # rejects, and then raises the sweep's first violation
+        want = formula_sweep(flats, ground)
+        assert bool(flagged) == (want is not None)
+        if want is None:
+            assert got is None
+            verdicts["accepted"] += 1
+        else:
+            assert same_violation(got, want)
+            verdicts[type(want).__name__] += 1
+
+    check()
+    # both directions and both kinds of violation must have been reached
+    for name in ("accepted", "Z0Violation", "Z3Violation"):
+        assert verdicts[name] > 0, verdicts
+
+
+def test_validation_of_a_302_flat_family():
+    r = 5
+    ground, chs, flats = sparse_paving_family(3, n=18, r=r, k=300)
+    labels = ground.labels
+    step = cycflats.core._CHUNK // (len(flats) + 1)
+    M = validate_axioms(flats, ground)
+    assert sorted(M.zee) == sorted(flats) and len(flats) == 302
+    # raising r(E) breaks (Z3) early in the sweep; the oracle reaches it
+    # at once (it would take about a minute to accept the family)
+    raise_top = sorted((a, rk + (a == ground.full)) for a, rk in flats)
+    want = validate_oracle(raise_top, labels)
+    assert want[0] == "Z3Violation"
+    assert _verdict(raise_top, ground) == want
+    # a late (Z3) violation past the first block: the sweep names it
+    added, h = late_violation(ground, chs, r)
+    late = sorted(flats + [(added, r - 1)])
+    assert sweep_position([a for a, _ in late], labels, added, h) >= step
+    got = raised(late, ground)
+    assert isinstance(got, Z3Violation)
+    assert same_violation(got, formula_sweep(late, ground))
+    assert sorted(got.witness) == sorted(
+        (ground.labels_of(added), ground.labels_of(h)))

@@ -349,25 +349,25 @@ def first_t3_pair(space, member):
     return maximal, None, None
 
 
-def t3_witness_agrees(M, c, k, member):
-    """verify_tangle's T3 witness for the sets of rank below c, given as
-    member flags of the dense states, is the first violating pair of
-    maximal members; returns that pair's row and the number of maximal
-    members."""
-    space = OrbitSpace(M)
+def t3_witness_agrees(M, space, tangle, member):
+    """verify_tangle's T3 witness for a tangle whose members, closed under
+    subsets, are given as member flags of the dense states of space, is
+    the first violating pair of maximal members; returns that pair's row
+    and the number of maximal members."""
     E = M.ground.full
     maximal, x, y = first_t3_pair(space, member)
     X, Y = space.take(x, E), space.take(y, E, last=True)
     want = [sorted(M.ground.labels_of(a)) for a in (X, Y, E & ~(X | Y))]
-    assert verify_tangle(M, Tangle(k, rank_bounded_family(M, c))) == (
-        False, {"axiom": "T3", "sets": want})
+    assert verify_tangle(M, tangle) == (False, {"axiom": "T3", "sets": want})
     return maximal.index(x), len(maximal)
 
 
-def test_t3_witness_is_the_first_pair_past_the_first_block():
-    # rank 5 on 15 elements: three disjoint circuit-hyperplanes cover E,
-    # and every other triple of sets of rank below 5 misses an element;
-    # more circuit-hyperplanes, drawn in seeded order, separate the clones
+def three_covering_planes():
+    """A sparse paving matroid of rank 5 on 15 elements in which three
+    disjoint circuit-hyperplanes cover E, and every other triple of sets
+    of rank below 5 misses an element; more circuit-hyperplanes, drawn in
+    seeded order, separate the clones.  Returns the matroid and the member
+    flags of its sets of rank below 5, one per mask."""
     n, r = 15, 5
     parts = [(0, 1, 2, 3, 8), (4, 5, 6, 7, 9), (10, 11, 12, 13, 14)]
     cands = list(combinations(range(n), r))
@@ -380,10 +380,25 @@ def test_t3_witness_is_the_first_pair_past_the_first_block():
             if len(M.clonal_classes()) == n:
                 break
     masks = {sum(1 << i for i in h) for h in chs}
-    member = [popcount(x) < r or x in masks for x in range(1 << n)]
-    row, count = t3_witness_agrees(M, r, r + 1, member)
+    return M, [popcount(x) < r or x in masks for x in range(1 << n)]
+
+
+def test_t3_witness_is_the_first_pair_past_the_first_block():
+    M, member = three_covering_planes()
+    row, count = t3_witness_agrees(
+        M, OrbitSpace(M), Tangle(6, rank_bounded_family(M, 5)), member)
     # more than 256 maximal members: more than one block of rows, and
     # the violating row lies past the first
+    assert count > 256 and row >= cycflats.core._CHUNK // count
+
+
+def test_explicit_t3_witness_past_the_first_block():
+    # the same sets as explicit masks: the singleton space, the superset
+    # table, and Z the first member containing the rest, here the rest
+    M, member = three_covering_planes()
+    space = OrbitSpace(M, [1 << i for i in range(M.ground.n)])
+    members = tuple(x for x, flag in enumerate(member) if flag)
+    row, count = t3_witness_agrees(M, space, Tangle(6, members), member)
     assert count > 256 and row >= cycflats.core._CHUNK // count
 
 
@@ -393,7 +408,8 @@ def test_t3_witness_on_an_expansion():
     assert not space.radix2
     member = [M.rank(space.take(x, M.ground.full)) < 9
               for x in range(space.count)]
-    t3_witness_agrees(M, 9, 10, member)
+    t3_witness_agrees(M, space, Tangle(10, rank_bounded_family(M, 9)),
+                      member)
 
 
 def test_remainders_broadcast_a_column_of_states():
