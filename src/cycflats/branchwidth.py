@@ -61,6 +61,9 @@ vectorized scans over the count-vector states; the three-sets axiom (T3)
 reduces to pairs of maximal member states x, y whose remainder
 max(0, s - x - y) lies in a member; that table is symmetric, so a block
 of rows x is checked only against the columns from its first row on.
+A bound big on the size of a member, read off the cyclic flats, settles
+T3 without that sweep when 3 * big < n, and otherwise keeps only the
+maximal members of at least n - 2 * big elements in it (verify_tangle).
 Explicit member lists are checked on the 2^n masks.
 """
 
@@ -71,7 +74,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import _CHUNK, GroundSet, Matroid
+from .core import _CHUNK, GroundSet, Matroid, popcount
 from .errors import (
     BudgetExceeded,
     InvalidTangle,
@@ -617,14 +620,23 @@ def verify_tangle(M: Matroid, tangle: Tangle, threads: int = 1
     count-vector states; explicit member masks are checked on the
     singleton partition, where states are masks.  T1/T2 witnesses are
     the first elements of each class for the first violating state.
+
+    T3 starts from a bound big on the size of a member, read off the
+    lattice for {X : r(X) < c}: if Z is a cyclic flat attaining the rank
+    formula for X, then r(Z) <= r(X) < c and |X| <= |Z| + r(X) - r(Z),
+    so big is the largest |Z| + c - 1 - r(Z) over the cyclic flats Z with
+    r(Z) < c.  For explicit members it is the largest member.  When
+    3 * big < n no three members cover E and T3 holds with no table
+    pass; otherwise only maximal members of at least n - 2 * big
+    elements enter the pair sweep, since each side of a violating pair
+    needs that many (the rest lies in a member).
     """
     n = M.ground.n
     E = M.ground.full
     k = tangle.order
     below = isinstance(tangle.members, RankBelow)
-    if below:
-        space = clonal_space(M)
-    else:
+    space = clonal_space(M)
+    if not (below or space.radix2):
         space = OrbitSpace(M, [1 << i for i in range(n)])
     check_states(space.count, "tangle verification")
     if k < 1:
@@ -646,49 +658,27 @@ def verify_tangle(M: Matroid, tangle: Tangle, threads: int = 1
         x = int(np.nonzero(viol)[0][0])
         return False, {"axiom": "T2", "set": labels(space.take(x, E)),
                        "lambda": int(lam[x]), "order": k}
-    # inclusion-maximal members and a "some member contains x" table; the
-    # dense number of a state is outer*(s_c+1)*st + x_c*st + inner, so
-    # axis 1 of each reshaped view is the count x_c.  The one-byte flags
-    # are read as words of up to 8 that divide st, so that a short stride
-    # still gives numpy long runs; & ~ and | keep each byte 0 or 1.  A
-    # rank-below family is closed under subsets, so its superset table is
-    # the member table itself.
-    mx = memb.copy()
-    sup = memb if below else memb.copy()
-    for s, st in zip(space.sizes, space.strides):
-        word = np.dtype("u%d" % min(8, st & -st))
-        shape = (-1, s + 1, st // word.itemsize)
-        member, top, up = (a.view(word).reshape(shape)
-                           for a in (memb, mx, sup))
-        top[:, :-1] &= ~member[:, 1:]
+    if below:
+        c = tangle.members.c
+        big = c - 1 + max(popcount(a) - r for a, r in M.zee if r < c)
+    else:
+        big = max((popcount(int(x)) for x in tangle.members), default=0)
+    pair = None
+    if 3 * big >= n:
+        pair = _t3_pair(space, memb, below, n - 2 * big)
+    if pair is not None:
+        # X and Y overlap as little as their counts allow, and a member
+        # contains the rest.  A rank-below family is closed under
+        # subsets, so the rest is itself a member; explicit members are
+        # masks, and Z is the first one containing it.
+        X = space.take(pair[0], E)
+        Y = space.take(pair[1], E, last=True)
+        Z = E & ~(X | Y)
         if not below:
-            for d in range(s - 1, -1, -1):
-                up[:, d] |= up[:, d + 1]
-    # one gather per block of rows X of the (X, Y) table; its first hit
-    # in row-major order is the first violating pair.  The table is
-    # symmetric, so that hit has X at or before Y, and a block of rows
-    # needs only the columns from its first row on.
-    maximal = np.nonzero(mx)[0]
-    step = max(1, _CHUNK // max(1, len(maximal)))
-    for start in range(0, len(maximal), step):
-        rows = maximal[start:start + step]
-        cols = maximal[start:]
-        bad = sup[space.remainders(rows[:, None], cols)]
-        if bad.any():
-            # X and Y overlap as little as their counts allow, and a
-            # member contains the rest.  A rank-below family is closed
-            # under subsets, so the rest is itself a member; explicit
-            # members are masks, and Z is the first one containing it.
-            row, col = divmod(int(np.argmax(bad)), len(cols))
-            x, y = int(rows[row]), int(cols[col])
-            X = space.take(x, E)
-            Y = space.take(y, E, last=True)
-            Z = E & ~(X | Y)
-            if not below:
-                above = (np.arange(space.count) & Z) == Z
-                Z = int(np.nonzero(memb & above)[0][0])
-            return False, {"axiom": "T3",
-                           "sets": [labels(X), labels(Y), labels(Z)]}
+            above = (np.arange(space.count) & Z) == Z
+            Z = int(np.nonzero(memb & above)[0][0])
+        return False, {"axiom": "T3",
+                       "sets": [labels(X), labels(Y), labels(Z)]}
     full = space.count - 1
     for els, st in zip(space.members, space.strides):
         if memb[full - st]:
@@ -700,6 +690,49 @@ def verify_tangle(M: Matroid, tangle: Tangle, threads: int = 1
                 "internal check failed: a verified tangle of order >= 3 "
                 "must contain every set of rank below order-1")
     return True, None
+
+
+def _t3_pair(space: OrbitSpace, memb: np.ndarray, below: bool, least: int
+             ) -> Optional[Tuple[int, int]]:
+    """The first pair (x, y) of inclusion-maximal member states of at
+    least `least` elements, in row-major order, whose remainder
+    max(0, s - x - y) lies in a member; None when there is none.
+
+    The dense number of a state is outer*(s_c+1)*st + x_c*st + inner, so
+    axis 1 of each reshaped view is the count x_c.  The one-byte flags
+    are read as words of up to 8 that divide st, so that a short stride
+    still gives numpy long runs; & ~ and | keep each byte 0 or 1.  A
+    rank-below family is closed under subsets, so its superset table is
+    the member table itself.
+    """
+    mx = memb.copy()
+    sup = memb if below else memb.copy()
+    for s, st in zip(space.sizes, space.strides):
+        word = np.dtype("u%d" % min(8, st & -st))
+        shape = (-1, s + 1, st // word.itemsize)
+        member, top, up = (a.view(word).reshape(shape)
+                           for a in (memb, mx, sup))
+        top[:, :-1] &= ~member[:, 1:]
+        if not below:
+            for d in range(s - 1, -1, -1):
+                up[:, d] |= up[:, d + 1]
+    # a side of fewer elements is in no violating pair, so dropping it
+    # keeps the order of the pairs that are left.  One gather per block
+    # of rows X of the (X, Y) table; its first hit in row-major order is
+    # the first violating pair.  The table is symmetric, so that hit has
+    # X at or before Y, and a block of rows needs only the columns from
+    # its first row on.
+    maximal = np.nonzero(mx)[0]
+    maximal = maximal[np.bitwise_count(space.sets(maximal)) >= least]
+    step = max(1, _CHUNK // max(1, len(maximal)))
+    for start in range(0, len(maximal), step):
+        rows = maximal[start:start + step]
+        cols = maximal[start:]
+        bad = sup[space.remainders(rows[:, None], cols)]
+        if bad.any():
+            row, col = divmod(int(np.argmax(bad)), len(cols))
+            return int(rows[row]), int(cols[col])
+    return None
 
 
 # -- certificates ------------------------------------------------------------

@@ -725,10 +725,20 @@ def _json_list(obj: dict, key: str) -> list:
     return value
 
 
+def _json_int(obj: dict, key: str) -> int:
+    """obj[key], which must be a JSON integer: int() would take 2.7, "2"
+    and false."""
+    value = obj[key]
+    if type(value) is not int:
+        raise TypeError("%r must be an integer, not %s"
+                        % (key, type(value).__name__))
+    return value
+
+
 def from_json_dict(obj: dict) -> Matroid:
     try:
         elements = GroundSet(_json_list(obj, "elements"))
-        flats = [(set(_json_list(f, "set")), int(f["rank"]))
+        flats = [(set(_json_list(f, "set")), _json_int(f, "rank"))
                  for f in _json_list(obj, "cyclic_flats")]
     except (KeyError, TypeError) as exc:
         raise ValueError("malformed matroid JSON: %s" % exc)

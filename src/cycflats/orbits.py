@@ -30,7 +30,9 @@ vectors too, so no state is decoded digit by digit.
 clonal_space(M) keeps one space per matroid, so the tau/kappa scan, the
 Tutte histogram, the branch-width DP and the tangle checks of M share
 one uint8 state rank table, built by core.rank_slices; without clones
-it is the cached M.rank_table().
+it is the cached M.rank_table().  The int16 lambda table is kept next
+to it, built once per space and read-only, so the scans, the tangle
+checks and the branch-width engines read the same array.
 """
 
 from __future__ import annotations
@@ -89,6 +91,7 @@ class OrbitSpace:
         self.pairs = prod(comb(s + 2, 2) for s in self.sizes)
         self._rows = None
         self._ranks = None
+        self._lams = None
 
     # -- state tables ------------------------------------------------------
 
@@ -102,8 +105,12 @@ class OrbitSpace:
         return self._ranks
 
     def lams(self) -> np.ndarray:
-        """lambda(x) for every state, in dense order, as int16."""
-        return lam_of_ranks(self.ranks(), self.M.rank_total)
+        """lambda(x) for every state, in dense order, as int16; built
+        once and read-only, since every caller shares it."""
+        if self._lams is None:
+            self._lams = lam_of_ranks(self.ranks(), self.M.rank_total)
+            self._lams.flags.writeable = False
+        return self._lams
 
     def rows(self) -> Tuple[np.ndarray, np.ndarray]:
         """(low, high): the canonical sets of the B states of row 0 and

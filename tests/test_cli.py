@@ -97,7 +97,12 @@ def test_malformed_json_shapes_exit_1_with_one_line(tmp_path, u24_file):
             {"elements": ["a", "b", "c"],
              "cyclic_flats": [{"set": [], "rank": 0},
                               {"set": "abc", "rank": 2}]},
-            {"elements": ["a", "b", "c"], "cyclic_flats": "abc"})):
+            {"elements": ["a", "b", "c"], "cyclic_flats": "abc"},
+            # a rank that is not a JSON integer would pass through int()
+            *({"elements": ["a", "b", "c"],
+               "cyclic_flats": [{"set": [], "rank": 0},
+                                {"set": ["a", "b", "c"], "rank": rank}]}
+              for rank in (2.7, "2", False)))):
         strings.append(tmp_path / ("s%d.json" % k))
         strings[-1].write_text(json.dumps(doc))
     for args, kind in (

@@ -2,6 +2,8 @@
 rank-below tangles, tau, kappa and the Tutte polynomial, against the
 independent oracles."""
 
+import hashlib
+import json
 import random
 from collections import Counter
 from itertools import combinations, product
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import cycflats.branchwidth
 import cycflats.core
 import cycflats.invariants
 import cycflats.orbits
@@ -22,8 +25,8 @@ from cycflats import (BudgetExceeded, Tangle, branch_width_exact,
                       verify_tangle, vertical_connectivity)
 from cycflats.branchwidth import _bottom_up, _tangle_bound, _tangle_first
 from cycflats.catalog import entries, get
-from cycflats.core import rank_of_mask_array
-from cycflats.orbits import OrbitSpace
+from cycflats.core import from_json_dict, rank_of_mask_array
+from cycflats.orbits import OrbitSpace, clonal_space
 from cycflats.verify import random_matroid
 
 from oracles import (bw_dp_oracle, bw_oracle, kappa_oracle, lambda_oracle,
@@ -268,6 +271,50 @@ def test_budget_counts_split_pairs():
     assert branch_width_exact(uniform(2, 7), budget=4)[0] == 3
 
 
+# -- one lambda table per space -----------------------------------------------
+
+def test_the_lambda_table_is_built_once_and_read_only():
+    for M in (fano(), expand(get("fig2_N"), 2)[0]):
+        lams = clonal_space(M).lams()
+        assert clonal_space(M).lams() is lams
+        with pytest.raises(ValueError):
+            lams[0] = 1
+        with pytest.raises(ValueError):
+            lams -= 1
+
+
+def catalog_results(fresh):
+    """JSON lines of tau, kappa, the tangle bound and exact branch-width
+    (values, witnesses, trees) of every catalog entry at t = 1..6.  With
+    fresh set, each call gets its own copy of the matroid, so none shares
+    a table with another."""
+    lines = []
+    for name in sorted(entries()):
+        for t in range(1, 7):
+            M = expand(get(name), t)[0] if t > 1 else get(name)
+            doc = M.to_json_dict()
+            of = (lambda: from_json_dict(doc)) if fresh else (lambda: M)
+            bw, tree = branch_width_exact(of())
+            lines.append(json.dumps([
+                name, t, tutte_connectivity(of()).to_json_dict(),
+                vertical_connectivity(of()).to_json_dict(),
+                _tangle_bound(of()), bw, tree.to_json_dict()],
+                sort_keys=True))
+    return "\n".join(lines)
+
+
+# catalog_results as computed with a lambda table built per call
+CATALOG_RESULTS_SHA256 = \
+    "e7a868b95e1559a13ca2df2220d3d25427f52c88a9fa160d7b2ccad954c0da83"
+
+
+def test_catalog_results_with_one_lambda_table():
+    shared = catalog_results(fresh=False)
+    assert shared == catalog_results(fresh=True)
+    assert hashlib.sha256(shared.encode()).hexdigest() == \
+        CATALOG_RESULTS_SHA256
+
+
 # -- the tangle-first path ----------------------------------------------------
 
 def tangle_path_agrees(M, seen):
@@ -330,10 +377,13 @@ def test_the_decision_counts_the_pairs_it_examines():
 
 # -- the T3 check in blocks of rows -------------------------------------------
 
-def first_t3_pair(space, member):
+def first_t3_pair(space, member, within=None):
     """The first pair (x, y) of inclusion-maximal member states, in dense
-    order, whose remainder max(0, s - x - y) is a member: a plain double
-    loop over a family closed under subsets."""
+    order, whose remainder max(0, s - x - y) is flagged in within, the
+    states inside some member: a plain double loop.  within defaults to
+    member, for a family closed under subsets."""
+    if within is None:
+        within = member
     classes = list(zip(space.sizes, space.strides))
     digits = {x: [x // st % (s + 1) for s, st in classes]
               for x in range(space.count) if member[x]}
@@ -344,7 +394,7 @@ def first_t3_pair(space, member):
         for y in maximal:
             rest = sum(st * (left - d) for (st, left), d
                        in zip(room, digits[y]) if left > d)
-            if member[rest]:
+            if within[rest]:
                 return maximal, x, y
     return maximal, None, None
 
@@ -366,10 +416,11 @@ def three_covering_planes():
     """A sparse paving matroid of rank 5 on 15 elements in which three
     disjoint circuit-hyperplanes cover E, and every other triple of sets
     of rank below 5 misses an element; more circuit-hyperplanes, drawn in
-    seeded order, separate the clones.  Returns the matroid and the member
+    seeded order, separate the clones, and two of them come before the
+    covering three in dense order.  Returns the matroid and the member
     flags of its sets of rank below 5, one per mask."""
     n, r = 15, 5
-    parts = [(0, 1, 2, 3, 8), (4, 5, 6, 7, 9), (10, 11, 12, 13, 14)]
+    parts = [(0, 1, 2, 3, 13), (4, 5, 6, 7, 14), (8, 9, 10, 11, 12)]
     cands = list(combinations(range(n), r))
     random.Random(5).shuffle(cands)
     chs = []
@@ -383,16 +434,46 @@ def three_covering_planes():
     return M, [popcount(x) < r or x in masks for x in range(1 << n)]
 
 
-def test_t3_witness_is_the_first_pair_past_the_first_block():
+def t3_sweep_past_the_first_block(monkeypatch, M, space, tangle, member,
+                                  big):
+    """verify_tangle again, with one row per block of its T3 sweep: the
+    rows it sweeps are the maximal members of at least n - 2 big
+    elements, in dense order, up to the violating row, and that row lies
+    past the first block."""
+    E = M.ground.full
+    maximal, x, _ = first_t3_pair(space, member)
+    swept = [m for m in maximal
+             if popcount(space.take(m, E)) >= M.ground.n - 2 * big]
+    assert 3 * big >= M.ground.n and len(swept) < len(maximal)
+    want = verify_tangle(M, tangle)
+    blocks = []
+    remainders = OrbitSpace.remainders
+
+    def spy(self, xs, ys):
+        blocks.append(np.ravel(xs).tolist())
+        return remainders(self, xs, ys)
+
+    monkeypatch.setattr(OrbitSpace, "remainders", spy)
+    monkeypatch.setattr(cycflats.branchwidth, "_CHUNK", len(swept))
+    assert verify_tangle(M, tangle) == want
+    row = swept.index(x)
+    assert row >= 1 and blocks == [[m] for m in swept[:row + 1]]
+
+
+def test_t3_witness_is_the_first_pair_past_the_first_block(monkeypatch):
     M, member = three_covering_planes()
-    row, count = t3_witness_agrees(
-        M, OrbitSpace(M), Tangle(6, rank_bounded_family(M, 5)), member)
+    space = OrbitSpace(M)
+    tangle = Tangle(6, rank_bounded_family(M, 5))
+    row, count = t3_witness_agrees(M, space, tangle, member)
     # more than 256 maximal members: more than one block of rows, and
     # the violating row lies past the first
     assert count > 256 and row >= cycflats.core._CHUNK // count
+    # a member has at most big = 5 elements (a circuit-hyperplane, rank
+    # 4), so the library sweeps only the circuit-hyperplanes
+    t3_sweep_past_the_first_block(monkeypatch, M, space, tangle, member, 5)
 
 
-def test_explicit_t3_witness_past_the_first_block():
+def test_explicit_t3_witness_past_the_first_block(monkeypatch):
     # the same sets as explicit masks: the singleton space, the superset
     # table, and Z the first member containing the rest, here the rest
     M, member = three_covering_planes()
@@ -400,6 +481,8 @@ def test_explicit_t3_witness_past_the_first_block():
     members = tuple(x for x, flag in enumerate(member) if flag)
     row, count = t3_witness_agrees(M, space, Tangle(6, members), member)
     assert count > 256 and row >= cycflats.core._CHUNK // count
+    t3_sweep_past_the_first_block(monkeypatch, M, space, Tangle(6, members),
+                                  member, 5)
 
 
 def test_t3_witness_on_an_expansion():
@@ -410,6 +493,174 @@ def test_t3_witness_on_an_expansion():
               for x in range(space.count)]
     t3_witness_agrees(M, space, Tangle(10, rank_bounded_family(M, 9)),
                       member)
+
+
+# -- the size bound of T3 ------------------------------------------------------
+
+def inside_a_member(member, n):
+    """Flags of the masks contained in a flagged mask."""
+    within = np.array(member, dtype=bool)
+    masks = np.arange(1 << n)
+    for i in range(n):
+        low = masks[(masks >> i & 1) == 0]
+        within[low] |= within[low | 1 << i]
+    return within
+
+
+def explicit_tangle_oracle(M, member, k):
+    """Do the masks flagged in member form a tangle of order k?  The four
+    axioms checked literally, T3 over every pair of members."""
+    full = M.ground.full
+    lam = np.array(lambda_oracle(M))
+    memb = np.array(member, dtype=bool)
+    if (memb & (lam >= k - 1)).any():                        # (T1)
+        return False
+    if ((lam < k - 1) & ~memb & ~memb[::-1]).any():          # (T2)
+        return False
+    if any(memb[full ^ (1 << i)] for i in range(M.ground.n)):  # (T4)
+        return False
+    within = inside_a_member(memb, M.ground.n)
+    members = np.nonzero(memb)[0]
+    return not any(within[full & ~(a | members)].any()       # (T3)
+                   for a in members)
+
+
+def t3_agrees(M, space, member, within, got, seen):
+    """verify_tangle's result got, for a family that passed T1 and T2,
+    against the first violating pair of the unpruned sweep; seen counts
+    how the family's largest member, big, relates to n."""
+    n, E = M.ground.n, M.ground.full
+    maximal, x, y = first_t3_pair(space, member, within)
+    big = max((popcount(space.take(m, E)) for m in maximal), default=0)
+    if 3 * big < n:
+        seen["skipped"] += 1
+    else:
+        seen["3 big = n" if 3 * big == n else "3 big > n"] += 1
+        if any(popcount(space.take(m, E)) < n - 2 * big for m in maximal):
+            seen["dropped"] += 1
+    if x is None:
+        assert got[1] is None or got[1]["axiom"] == "T4", got
+        return
+    seen["T3"] += 1
+    X, Y = space.take(x, E), space.take(y, E, last=True)
+    Z = E & ~(X | Y)
+    if within is not member:                 # the first member above it
+        Z = next(z for z in range(1 << n) if member[z] and z & Z == Z)
+    want = [sorted(M.ground.labels_of(a)) for a in (X, Y, Z)]
+    assert got == (False, {"axiom": "T3", "sets": want})
+
+
+@st.composite
+def bound_samples(draw):
+    """A random matroid on <= 10 elements, or the 2-expansion of one on
+    <= 5."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        return random_matroid(rng, 10)
+    return expand(random_matroid(rng, 5), 2)[0]
+
+
+def direct_sum(parts):
+    """The direct sum of uniform matroids U(r, s), given as (r, s) pairs
+    in element order: its cyclic flats are the unions of the parts with
+    r < s, of rank the sum of their r."""
+    labels, cyclic = [], []
+    for r, s in parts:
+        block = [str(len(labels) + i + 1) for i in range(s)]
+        labels += block
+        if r < s:
+            cyclic.append((block, r))
+    flats = [(sum((b for b, _ in pick), []), sum(r for _, r in pick))
+             for j in range(len(cyclic) + 1)
+             for pick in combinations(cyclic, j)]
+    return validate_axioms(flats, labels)
+
+
+def test_t3_size_bound_matches_the_unpruned_sweep():
+    seen = Counter()
+
+    @settings(SETTINGS, max_examples=30)
+    @given(st.one_of(bound_samples(), sparse_pavings()),
+           st.integers(0, 2 ** 32 - 1))
+    def check(M, seed):
+        rnd = random.Random(seed)
+        n, E = M.ground.n, M.ground.full
+        space = OrbitSpace(M)
+        rank = np.array(rank_table_oracle(M))
+        lam = np.array(lambda_oracle(M))
+        for c in range(1, M.rank_total + 2):
+            member = [rank[space.take(x, E)] < c for x in range(space.count)]
+            for k in range(1, c + 3):
+                got = verify_tangle(M, Tangle(k, rank_bounded_family(M, c)))
+                assert got[0] == rank_below_tangle_oracle(M, c, k), (c, k)
+                if got[1] is None or got[1]["axiom"] not in ("T1", "T2"):
+                    t3_agrees(M, space, member, member, got, seen)
+                # explicit masks: the sets of rank below c that T1 admits,
+                # thinned at random or padded with random sets T1 admits
+                flags = (rank < c) & (lam < k - 1)
+                if rnd.random() < 0.3:
+                    flags &= np.array([rnd.random() < 0.8
+                                       for _ in range(1 << n)])
+                else:
+                    for x in rnd.sample(range(1 << n), min(4, 1 << n)):
+                        flags[x] |= lam[x] < k - 1
+                got = verify_tangle(M, Tangle(k, tuple(
+                    np.flatnonzero(flags).tolist())))
+                assert got[0] == explicit_tangle_oracle(M, flags, k), (c, k)
+                if got[1] is None or got[1]["axiom"] not in ("T1", "T2"):
+                    masks = OrbitSpace(M, [1 << i for i in range(n)])
+                    t3_agrees(M, masks, flags, inside_a_member(flags, n),
+                              got, seen)
+
+    check()
+    assert all(seen[key] for key in ("skipped", "3 big = n", "3 big > n",
+                                     "T3")), seen
+
+
+def test_t3_size_bound_drops_small_maximal_members():
+    # families of separators of direct sums, which pass T1 and T2 at
+    # order 2 when they hold one side of every separation; {s}, A, B and
+    # the empty set are maximal members too small for a violating pair
+    seen = Counter()
+    triangles = direct_sum([(2, 3), (2, 3), (2, 3), (1, 1)])   # P Q R s
+    P, Q, R, s = 0b111, 0b111000, 0b111000000, 1 << 9
+    coloop = direct_sum([(1, 1), (1, 2), (2, 6)])              # A B C
+    A, B = 0b1, 0b110
+    for M, family, want in (
+            # P, Q and R + s cover E; big = 4 and n - 2 big = 2
+            (triangles, (0, P, Q, R, s, P | s, Q | s, R | s), False),
+            # 3 big = n = 9 and n - 2 big = 3
+            (coloop, (0, A, B, A | B), True),
+            # P, Q and R cover E, and 3 big = n = 9
+            (triangles.delete(s), (0, P, Q, R), False)):
+        n = M.ground.n
+        flags = np.zeros(1 << n, dtype=bool)
+        flags[list(family)] = True
+        got = verify_tangle(M, Tangle(2, family))
+        assert got[0] == explicit_tangle_oracle(M, flags, 2) == want
+        masks = OrbitSpace(M, [1 << i for i in range(n)])
+        t3_agrees(M, masks, flags, inside_a_member(flags, n), got, seen)
+    assert seen == {"3 big > n": 1, "3 big = n": 2, "dropped": 3, "T3": 2}
+
+
+def test_sparse_paving_tangles_skip_the_t3_sweep(monkeypatch):
+    # n = 13 >= 3r + 3: a set of rank below r has at most r elements, so
+    # no three members cover E, and neither the maximal members nor any
+    # pair of them is looked for
+    def no_sweep(*_):
+        raise AssertionError("T3 swept the members")
+
+    monkeypatch.setattr(OrbitSpace, "remainders", no_sweep)
+    monkeypatch.setattr(cycflats.branchwidth, "_t3_pair", no_sweep)
+    n, r = 13, 3
+    cands = list(combinations(range(n), r))
+    random.Random(79).shuffle(cands)
+    M = sparse_paving(n, r, packing(cands, r))
+    assert verify_tangle(M, Tangle(r + 1, rank_bounded_family(M, r))) == \
+        (True, None)
+    members = tuple(x for x in range(1 << n) if M.rank(x) < r)
+    assert max(map(popcount, members)) == r
+    assert verify_tangle(M, Tangle(r + 1, members)) == (True, None)
 
 
 def test_remainders_broadcast_a_column_of_states():
