@@ -3,7 +3,10 @@
 A linear order on a loopless matroid is a positroid order when, for every
 proper connected flat F with at least two elements and every connected
 component K of M/F with at least two elements, the elements of K lie
-inside a single maximal cyclic interval of positions disjoint from F.
+inside a single maximal cyclic interval of positions disjoint from F:
+K is one block of the cyclic order restricted to F | K.  Orders are
+checked as sequences of element indices, and the components of M/F come
+from M's own rank, r(X | F) - r(F), without building the contraction.
 The matroid is a positroid when some order passes; the search exhausts
 orders up to rotation and reflection, since the property only depends on
 the cyclic order.
@@ -39,8 +42,9 @@ def _arc_constraints(M: Matroid) -> List[Tuple[int, List[int]]]:
     """Order-independent data: (flat mask, [component masks of M/F]).
 
     Components are restricted to those with >= 2 elements; flats to proper
-    connected flats with >= 2 elements.  Computing these once lets a
-    search check many orders cheaply.
+    connected flats with >= 2 elements.  The components of M/F are read
+    off M's own rank, r(X | F) - r(F), so no contraction is built.
+    Computing these once lets a search check many orders cheaply.
     """
     if M.loops:
         raise HasLoops("positroid orders are defined for loopless matroids")
@@ -48,71 +52,32 @@ def _arc_constraints(M: Matroid) -> List[Tuple[int, List[int]]]:
     for f in M.connected_flats(proper=True):
         if popcount(f) < 2:
             continue
-        quotient = M.contract(f)
-        comps = [M.ground.mask_of(quotient.ground.labels_of(c))
-                 for c in quotient.components() if popcount(c) >= 2]
+        comps = [c for c in M._components(M.ground.full & ~f, f)
+                 if popcount(c) >= 2]
         if comps:
             out.append((f, comps))
     return out
 
 
-def _order_positions(M: Matroid, order: Sequence[str]) -> List[int]:
-    """Positions of each ground element in the order; validates the order."""
+def _order_sequence(M: Matroid, order: Sequence[str]) -> List[int]:
+    """The order as a sequence of element indices; validates the order."""
     order = [str(x) for x in order]
     if sorted(order) != sorted(M.ground.labels):
         raise ValueError("order is not a permutation of the ground set")
-    pos = [0] * M.ground.n
-    for p, lab in enumerate(order):
-        pos[M.ground.index[lab]] = p
-    return pos
+    return [M.ground.index[lab] for lab in order]
 
 
-def _fits_arcs(n: int, pos: List[int], fmask: int, comps: List[int]
-               ) -> Optional[int]:
-    """First component mask not inside one F-free cyclic arc, if any."""
-    in_f = [False] * n
-    bits = fmask
-    while bits:
-        b = bits & -bits
-        bits ^= b
-        in_f[pos[b.bit_length() - 1]] = True
-    # arc id per position: positions sharing an id are in one maximal run
-    arc = [-1] * n
-    current = -1
-    for p in range(n):
-        if in_f[p]:
-            current = -1
-            continue
-        if current == -1:
-            current = p
-        arc[p] = current
-    # cyclic wrap: if neither endpoint position is in F, merge the runs
-    if not in_f[0] and not in_f[n - 1]:
-        head = arc[0]
-        tail = arc[n - 1]
-        for p in range(n):
-            if arc[p] == head:
-                arc[p] = tail
-    for comp in comps:
-        ids = set()
-        bits = comp
-        while bits:
-            b = bits & -bits
-            bits ^= b
-            ids.add(arc[pos[b.bit_length() - 1]])
-        if len(ids) > 1:
-            return comp
-    return None
-
-
-def _straddler(n: int, pos: List[int], constraints
+def _straddler(seq: Sequence[int], constraints
                ) -> Optional[Tuple[int, int]]:
-    """The first (flat, component) whose component is not inside one
-    F-free cyclic arc of the order, if any."""
+    """The first (flat, component) whose component K is not one block of
+    the cyclic order restricted to F | K, if any: along that restriction
+    the K-flags change value more than twice around the circle."""
     for fmask, comps in constraints:
-        bad = _fits_arcs(n, pos, fmask, comps)
-        if bad is not None:
-            return fmask, bad
+        for comp in comps:
+            both = fmask | comp
+            flags = [comp >> i & 1 for i in seq if both >> i & 1]
+            if sum(a != b for a, b in zip(flags, flags[-1:] + flags)) > 2:
+                return fmask, comp
     return None
 
 
@@ -124,8 +89,7 @@ def is_positroid_order(M: Matroid, order: Sequence[str]
     flat and the quotient component that straddles two arcs.
     """
     constraints = _arc_constraints(M)
-    pos = _order_positions(M, order)
-    bad = _straddler(M.ground.n, pos, constraints)
+    bad = _straddler(_order_sequence(M, order), constraints)
     if bad is None:
         return True, None
     return False, {"flat": sorted(M.ground.labels_of(bad[0])),
@@ -154,14 +118,9 @@ def positroid_search(M: Matroid
         if rest[0] > rest[-1]:
             continue
         checked += 1
-        pos = [0] * n
-        for p, i in enumerate(rest):
-            pos[i] = p + 1
-        if _straddler(n, pos, constraints) is None:
-            order = [None] * n
-            for i in range(n):
-                order[pos[i]] = labels[i]
-            return order, checked
+        seq = (0,) + rest
+        if _straddler(seq, constraints) is None:
+            return [labels[i] for i in seq], checked
     return None, checked
 
 

@@ -274,16 +274,20 @@ class Matroid:
         ground = GroundSet([self.ground.labels[i] for i in keep])
         return validate_axioms(flats.items(), ground)
 
-    def _components(self, mask: int) -> list:
-        """Connected components of M|mask, ordered by lowest element.
+    def _components(self, mask: int, contract: int = 0) -> list:
+        """Connected components of (M / contract) | mask, ordered by
+        lowest element; mask and contract are disjoint.
 
-        Each non-loop e outside a greedy basis B of mask is joined with
-        the b in B on its fundamental circuit, those with r(B - b + e) =
-        r(B); the components are the classes of these joins, so loops and
-        coloops stay single.  O(|mask|^2) rank calls.
+        The rank of M / contract is r(X | contract) - r(contract), so the
+        greedy basis B of mask starts at contract with rank r(contract)
+        and every rank call keeps contract in the set.  Each non-loop e
+        outside B is joined with the b in B on its fundamental circuit,
+        those with r(B - b + e) = r(B); the components are the classes of
+        these joins, so loops and coloops stay single.  O(|mask|^2) rank
+        calls, and no minor is built.
         """
         elems = [i for i in range(self.ground.n) if mask >> i & 1]
-        basis, rb = 0, 0
+        basis, rb = contract, self.rank(contract)
         for i in elems:
             if self.rank(basis | 1 << i) > rb:
                 basis |= 1 << i

@@ -6,9 +6,9 @@ branch-width from exhaustive cubic-tree enumeration, Tutte values from a
 direct subset sum.  Slow, simple, and only for small ground sets.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations
 
-from cycflats import Matroid, popcount
+from cycflats import Matroid, popcount, validate_axioms
 
 
 def rank_table_oracle(M: Matroid):
@@ -110,6 +110,21 @@ def connected_flats_oracle(M: Matroid, proper: bool = True):
         if not y:
             out.add(x)
     return out
+
+
+def minor_components_oracle(M: Matroid, delete: int, contract: int):
+    """Components of M / contract \\ delete as masks over M's indices, by
+    lowest element: components_oracle on the matroid of minor_oracle's
+    cyclic flats."""
+    keep = [i for i in range(M.ground.n)
+            if not (delete | contract) >> i & 1]
+    if not keep:
+        return []
+    N = validate_axioms([(set(s), r) for s, r in
+                         minor_oracle(M, delete, contract)],
+                        [M.ground.labels[i] for i in keep])
+    return [sum(1 << keep[j] for j in range(len(keep)) if c >> j & 1)
+            for c in components_oracle(N)]
 
 
 def tutte_eval_oracle(M: Matroid, x: int, y: int) -> int:
@@ -366,3 +381,63 @@ def validate_oracle(flats, labels):
             if byset[jn] + byset[mt] + size(x & y & ~mt) > rx + ry:
                 return "Z3Violation", (names(x), names(y))
     return None
+
+
+def positroid_constraints_oracle(M: Matroid):
+    """(F, components of M/F with >= 2 elements) for every connected flat
+    F != E of a loopless M with >= 2 elements, flats by size and then
+    labels, components by lowest element."""
+    labels = M.ground.labels
+    out = []
+    for f in sorted(connected_flats_oracle(M), key=lambda x: (
+            popcount(x), [labels[i] for i in range(M.ground.n)
+                          if x >> i & 1])):
+        if popcount(f) < 2:
+            continue
+        comps = [c for c in minor_components_oracle(M, 0, f)
+                 if popcount(c) >= 2]
+        if comps:
+            out.append((f, comps))
+    return out
+
+
+def positroid_order_oracle(M: Matroid, order, constraints):
+    """(verdict, witness) of is_positroid_order, from the definition: each
+    component K must lie in one maximal cyclic interval of positions that
+    holds no element of F; the witness is the first (F, K) that does
+    not."""
+    n = len(order)
+    at = [M.ground.index[lab] for lab in order]
+    for f, comps in constraints:
+        def arc(p):
+            # grow the F-free interval around position p both ways
+            run = {p}
+            for step in (1, -1):
+                q = (p + step) % n
+                while not f >> at[q] & 1 and q not in run:
+                    run.add(q)
+                    q = (q + step) % n
+            return frozenset(run)
+        for k in comps:
+            if len({arc(p) for p in range(n) if k >> at[p] & 1}) > 1:
+                return False, {"flat": sorted(M.ground.labels_of(f)),
+                               "component": sorted(M.ground.labels_of(k))}
+    return True, None
+
+
+def positroid_search_oracle(M: Matroid):
+    """(order, classes checked) of positroid_search: the first order, in
+    lexicographic order of the elements after the first, that passes,
+    counting one order of each reflected pair (first of the rest below
+    its last)."""
+    constraints = positroid_constraints_oracle(M)
+    labels = list(M.ground.labels)
+    checked = 0
+    for rest in permutations(range(1, M.ground.n)):
+        if rest and rest[0] > rest[-1]:
+            continue
+        checked += 1
+        order = [labels[0]] + [labels[i] for i in rest]
+        if positroid_order_oracle(M, order, constraints)[0]:
+            return order, checked
+    return None, checked

@@ -1,8 +1,13 @@
 import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
+import cycflats.classes
+import cycflats.core
 from cycflats import (
+    BudgetExceeded,
     GroundSet,
     HasLoops,
     InputOrderNotPositroid,
@@ -16,16 +21,34 @@ from cycflats import (
     validate_axioms,
     verify_presentation,
 )
-from cycflats.catalog import entries, get, presentation
+from cycflats.catalog import entries, get, names, presentation
+from cycflats.verify import random_matroid
+
+from oracles import (positroid_constraints_oracle, positroid_order_oracle,
+                     positroid_search_oracle)
+
+
+def _plane(n, lines):
+    """The rank-3 matroid on 1..n whose nontrivial lines are the given
+    3-point lines, written as strings of digits."""
+    g = GroundSet([str(i) for i in range(1, n + 1)])
+    zee = [(0, 0)] + [(g.mask_of(L), 2) for L in lines] + [(g.full, 3)]
+    return validate_axioms(zee, g)
 
 
 def _seven_lines():
-    g = GroundSet([str(i) for i in range(1, 8)])
-    lines = [{"1", "2", "3"}, {"1", "4", "5"}, {"1", "6", "7"},
-             {"2", "4", "6"}, {"2", "5", "7"}, {"3", "4", "7"},
-             {"3", "5", "6"}]
-    zee = [(0, 0)] + [(g.mask_of(L), 2) for L in lines] + [(g.full, 3)]
-    return validate_axioms(zee, g)
+    return _plane(7, ["123", "145", "167", "246", "257", "347", "356"])
+
+
+def _random_plane(rng):
+    """A plane on 6 or 7 points with random 3-point lines, pairwise
+    meeting in at most one point; about half are not positroids."""
+    n = rng.choice((6, 7))
+    lines = []
+    for T in rng.sample(list(combinations("1234567"[:n], 3)), 12):
+        if all(len(set(T) & set(L)) <= 1 for L in lines):
+            lines.append("".join(T))
+    return _plane(n, lines)
 
 
 def test_identity_orders_on_the_catalog():
@@ -108,6 +131,65 @@ def test_seven_line_design_is_not_a_positroid():
     for _ in range(12):
         rng.shuffle(labs)
         assert not is_positroid_order(fano, labs)[0]
+
+
+def test_positroid_checks_match_the_oracle():
+    # the arcs of each order are built literally over positions, and the
+    # components of M/F come from the oracle rank table of the minor
+    rng = random.Random(19)
+    cases = [_seven_lines()] + [_random_plane(rng) for _ in range(60)]
+    seed = 0
+    while len(cases) < 361:
+        seed += 1
+        M = random_matroid(random.Random(seed), 7)
+        if not M.loops:
+            cases.append(M)
+    seen = Counter()
+    for M in cases:
+        constraints = positroid_constraints_oracle(M)
+        found = positroid_search(M)
+        assert found == positroid_search_oracle(M)
+        seen["not a positroid"] += found[0] is None
+        labs = list(M.ground.labels)
+        for order in [labs] + [rng.sample(labs, len(labs)) for _ in range(3)]:
+            got = is_positroid_order(M, order)
+            assert got == positroid_order_oracle(M, order, constraints)
+            seen["failing order"] += not got[0]
+    assert seen["not a positroid"] > 1 and seen["failing order"], seen
+
+
+def test_arc_constraints_build_no_minor(monkeypatch):
+    # the components of M/F are read off M's rank: no contraction is
+    # built and no lattice validated
+    cases = [M if t == 1 else expand(M, t)[0]
+             for M in map(get, names()) for t in (1, 2, 3)]
+    calls = []
+
+    def spy(name, real):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(cycflats.core.Matroid, "_minor",
+                        spy("_minor", cycflats.core.Matroid._minor))
+    for module in (cycflats.core, cycflats.classes):
+        monkeypatch.setattr(module, "validate_axioms",
+                            spy("validate_axioms", module.validate_axioms))
+    built = [cycflats.classes._arc_constraints(M) for M in cases]
+    assert all(built)
+    assert calls == []
+
+
+def test_search_budget_is_checked_before_any_constraint(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cycflats.classes, "_arc_constraints",
+                        lambda M: calls.append(M) or [])
+    with pytest.raises(BudgetExceeded):
+        positroid_search(uniform(3, 10))
+    assert calls == []
+    positroid_search(uniform(3, 9))
+    assert len(calls) == 1
 
 
 def test_expansion_preserves_positroid_orders():

@@ -276,7 +276,7 @@ def test_tangle_verify_command():
     assert w["witness"]["axiom"] == "T3"
 
 
-def test_positroid_commands():
+def test_positroid_commands(tmp_path):
     code, out, _ = run_cli("positroid-check", "fig1_N", "--order",
                            "1,2,3,4,5,6")
     assert code == 2
@@ -290,6 +290,14 @@ def test_positroid_commands():
     assert found["classes_checked"] >= 1
     code2, _, _ = run_cli("positroid-check", "fig1_N", "--order", "1,2")
     assert code2 == 64
+    # ten elements are past the order-search budget: one error line
+    path = tmp_path / "u3_10.json"
+    path.write_text(json.dumps(uniform(3, 10).to_json_dict()))
+    code3, out3, err3 = run_cli("positroid-search", "--input", str(path))
+    assert code3 == 1
+    assert out3 == ""
+    assert err3.startswith("cycflats: BudgetExceeded: ")
+    assert len(err3.splitlines()) == 1
 
 
 def test_presentation_verify_command():

@@ -18,7 +18,8 @@ from cycflats.classes import rank_one
 from cycflats.verify import random_matroid
 
 from oracles import (components_oracle, connected_flats_oracle,
-                     minor_oracle, rank_table_oracle, union_rank_oracle)
+                     minor_components_oracle, minor_oracle,
+                     rank_table_oracle, union_rank_oracle)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.filter_too_much])
@@ -96,6 +97,19 @@ def test_components_and_connected_flats_match_the_oracle():
         c = subset(data.draw, n, ~d)
         N = M.minor(d, c) if data.draw(st.booleans()) else M
         assert N.components() == components_oracle(N)
+        # components of (N / X) | mask, read off N's rank; X is seldom a
+        # flat, so N / X often has loops
+        k, full = N.ground.n, N.ground.full
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+        for _ in range(4):
+            X = rng.getrandbits(k)
+            mask = full & ~X & rng.choice([full, rng.getrandbits(k)])
+            got = N._components(mask, X)
+            assert got == minor_components_oracle(N, full & ~(mask | X), X)
+            if mask & N.closure(X) & ~X & ~N.loops:
+                seen["quotient loops"] += 1
+            if got != N._components(mask):
+                seen["quotient joins or splits"] += 1
         if N.loops:
             seen["looped"] += 1
         else:
@@ -109,8 +123,9 @@ def test_components_and_connected_flats_match_the_oracle():
             seen["disconnected"] += 1
 
     check()
-    assert all(seen[k] for k in ("clone-rich", "looped", "disconnected")), \
-        seen
+    assert all(seen[k] for k in ("clone-rich", "looped", "disconnected",
+                                 "quotient loops",
+                                 "quotient joins or splits")), seen
 
 
 def test_catalog_components_and_connected_flats():
