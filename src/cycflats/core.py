@@ -43,12 +43,15 @@ a family needs no rank formula.  One Python sweep of m(m-1)/2 steps over
 the m members checks (Z2) and lists the incomparable pairs; the joins,
 meets and (Z3) sums of those pairs are read off an m x 2m bool
 containment matrix by one numpy pass per block of at most _CHUNK // m
-pairs, O(m^3) bool work in all, whatever the ground-set size.  Only on
-rejection does the rank-formula sweep run: joins and meets from the min
-formula, checked pair by pair up to the first pair the order pass
-flagged, so that the first violation in sweep order is named with its
-witness.  Violations raise with a witness attached; nothing is silently
-repaired.
+pairs, O(m^3) bool work in all, whatever the ground-set size.  The first
+pair (X, Y) in sweep order that fails is named on the same matrix: with
+J the smallest member containing both, a member V containing both but
+not J means X and Y have no join (Z0, witness (X, Y, J, V)); otherwise
+(Z3) fails with J as the join and the largest member inside both as the
+meet (witness (X, Y)).  A missing meet is never the first failure: if a
+lower bound W of X and Y misses the largest one K, then K and W, both
+smaller than X and Y and so swept earlier, have no join.  Violations
+raise with a witness attached; nothing is silently repaired.
 """
 
 from __future__ import annotations
@@ -61,7 +64,6 @@ import numpy as np
 from .errors import (
     BudgetExceeded,
     HasLoops,
-    MatroidError,
     Z0Violation,
     Z1Violation,
     Z2Violation,
@@ -555,9 +557,8 @@ def validate_axioms(flats, ground) -> Matroid:
     # upper bound too, so it is the join exactly when the pair has as many
     # upper bounds as it has members above it (itself included); likewise
     # for the meet.  Neither count can fall short of that of its bound, so
-    # one sum checks both.  A pair that passes the rank-formula checks
-    # passes these, so on a failing pair _raise_first_violation finds the
-    # witness by the rank-formula sweep, at or before that pair.
+    # one sum checks both.  The first failing pair is named by
+    # _raise_order_violation.
     masks = np.array([a for a, _ in recs], dtype=np.uint64)
     ranks = np.array([r for _, r in recs], dtype=np.int16)
     common = masks[:, None] & masks
@@ -580,110 +581,42 @@ def validate_axioms(flats, ground) -> Matroid:
         bad = both.sum(axis=1) != above[join] + below[meet]
         bad |= ranks[join] + loss[meet] > slack[block]
         if bad.any():
-            _raise_first_violation(
-                recs, ground, pairs[:start + int(np.argmax(bad)) + 1])
+            _raise_order_violation(recs, ground, sub,
+                                   *divmod(int(block[np.argmax(bad)]), m))
     return M
 
 
-def _raise_first_violation(recs, ground, pairs: np.ndarray) -> NoReturn:
-    """Raise the first violation of (Z0) or (Z3) among the incomparable
-    pairs (i * m + j, in sweep order) of the members recs.
+def _raise_order_violation(recs, ground, sub: np.ndarray, i: int,
+                           j: int) -> NoReturn:
+    """Raise the violation of the incomparable members i < j, the first
+    pair that the order pass flags, from the containment matrix sub
+    (sub[a, b] when member a lies in member b).
 
-    The joins cl(X | Y) and meets cyc(X & Y) come from the rank formula
-    (_joins_and_meets), in blocks of at most _CHUNK entries, and must
-    land in the family and be the order-theoretic join and meet there; a
-    violating bound is the first member, in family order, of a bitset
-    difference.  The checks run pair by pair, so the first violation is
-    the sweep's first.  Raises MatroidError if no pair fails.
+    The first member containing both is a smallest upper bound J; an
+    upper bound V that misses J leaves the pair without a join.  Else the
+    meet is the last member inside both, and (Z3) is what fails: a
+    missing meet would have flagged an earlier pair (module docstring).
     """
-    m = len(recs)
-    # bit k of up[i] is set when member k contains member i, bit k of
-    # down[i] when member i contains member k
-    up = [sum(1 << k for k, (z, _) in enumerate(recs) if not x & ~z)
-          for x, _ in recs]
-    down = [sum(1 << k for k, (z, _) in enumerate(recs) if not z & ~x)
-            for x, _ in recs]
-    masks = np.array([a for a, _ in recs], dtype=np.uint64)
-    # (Z1) and (Z2) bound every rank by 61, so rank plus count fits uint8
-    ranks = np.array([r for _, r in recs], dtype=np.uint8)
-    pos = {a: k for k, (a, _) in enumerate(recs)}
-    step = max(1, _CHUNK // m)
-    for start in range(0, len(pairs), step):
-        lo, hi = np.divmod(pairs[start:start + step], m)
-        joins, meets = _joins_and_meets(masks, ranks, masks[lo], masks[hi],
-                                        ground.full)
-        for i, j, jn, mt in zip(lo.tolist(), hi.tolist(), joins.tolist(),
-                                meets.tolist()):
-            x, rx = recs[i]
-            y, ry = recs[j]
-            kj = pos.get(jn)
-            if kj is None:
-                raise Z0Violation(
-                    "join of %s and %s computed as %s, which is not in the "
-                    "family" % (sorted(ground.labels_of(x)),
-                                sorted(ground.labels_of(y)),
-                                sorted(ground.labels_of(jn))),
-                    witness=(ground.labels_of(x), ground.labels_of(y)))
-            bad = up[i] & up[j] & ~up[kj]
-            if bad:
-                z = recs[(bad & -bad).bit_length() - 1][0]
-                raise Z0Violation(
-                    "family member %s is an upper bound of %s and %s "
-                    "but does not contain their computed join"
-                    % (sorted(ground.labels_of(z)),
-                       sorted(ground.labels_of(x)),
-                       sorted(ground.labels_of(y))),
-                    witness=(ground.labels_of(x), ground.labels_of(y),
-                             ground.labels_of(z)))
-            km = pos.get(mt)
-            if km is None:
-                raise Z0Violation(
-                    "meet of %s and %s computed as %s, which is not in the "
-                    "family" % (sorted(ground.labels_of(x)),
-                                sorted(ground.labels_of(y)),
-                                sorted(ground.labels_of(mt))),
-                    witness=(ground.labels_of(x), ground.labels_of(y)))
-            # kept as a guard for outside input, as validate_oracle keeps it
-            bad = down[i] & down[j] & ~down[km]
-            if bad:
-                z = recs[(bad & -bad).bit_length() - 1][0]
-                raise Z0Violation(
-                    "family member %s is a lower bound of %s and %s "
-                    "but is not contained in their computed meet"
-                    % (sorted(ground.labels_of(z)),
-                       sorted(ground.labels_of(x)),
-                       sorted(ground.labels_of(y))),
-                    witness=(ground.labels_of(x), ground.labels_of(y),
-                             ground.labels_of(z)))
-            rj, rm = recs[kj][1], recs[km][1]
-            correction = popcount((x & y) & ~mt)
-            if rj + rm + correction > rx + ry:
-                raise Z3Violation(
-                    "pair %s, %s: r(join)+r(meet)+%d = %d exceeds "
-                    "r(X)+r(Y) = %d"
-                    % (sorted(ground.labels_of(x)),
-                       sorted(ground.labels_of(y)), correction,
-                       rj + rm + correction, rx + ry),
-                    witness=(ground.labels_of(x), ground.labels_of(y)))
-
-    raise MatroidError("the order checks rejected a family that the "
-                      "rank-formula sweep accepts")
-
-
-def _joins_and_meets(masks: np.ndarray, ranks: np.ndarray, xs: np.ndarray,
-                     ys: np.ndarray, full: int) -> list:
-    """[cl(x | y), cyc(x & y)] for each pair of the uint64 arrays xs, ys,
-    over the family (masks, ranks): the set grown by the union of its
-    attaining members, and cut to their intersection, as in
-    Matroid._attaining, with one (pairs, members) array per set."""
-    out = []
-    for sets, fill, op in ((xs | ys, 0, np.bitwise_or),
-                           (xs & ys, full, np.bitwise_and)):
-        vals = np.bitwise_count(sets[:, None] & ~masks) + ranks
-        att = vals == vals.min(axis=1, keepdims=True)
-        out.append(op(sets, op.reduce(np.where(att, masks, np.uint64(fill)),
-                                      axis=1)))
-    return out
+    (x, rx), (y, ry) = recs[i], recs[j]
+    upper = sub[i] & sub[j]
+    join = int(np.argmax(upper))
+    stray = upper & ~sub[join]
+    if stray.any():
+        w = [ground.labels_of(recs[k][0])
+             for k in (i, j, join, int(np.argmax(stray)))]
+        raise Z0Violation(
+            "%s and %s have no join: the upper bound %s does not contain "
+            "their smallest upper bound %s"
+            % tuple(sorted(w[k]) for k in (0, 1, 3, 2)), witness=tuple(w))
+    lower = sub[:, i] & sub[:, j]
+    mt, rm = recs[len(recs) - 1 - int(np.argmax(lower[::-1]))]
+    correction = popcount((x & y) & ~mt)
+    total = recs[join][1] + rm + correction
+    raise Z3Violation(
+        "pair %s, %s: r(join)+r(meet)+%d = %d exceeds r(X)+r(Y) = %d"
+        % (sorted(ground.labels_of(x)), sorted(ground.labels_of(y)),
+           correction, total, rx + ry),
+        witness=(ground.labels_of(x), ground.labels_of(y)))
 
 
 # -- constructors -----------------------------------------------------------

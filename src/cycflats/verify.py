@@ -119,7 +119,9 @@ def random_matroid(rng: random.Random, max_n: int = 6) -> Matroid:
 
     The union of k rank-1 matroids with random non-loop sets gives a
     transversal matroid; taking the dual half the time leaves the class
-    of test instances closed under duality.
+    of test instances closed under duality.  Loopless draws are nearly
+    always positroids: with n <= 7, all of 2,000 were.  A differential
+    set that needs negative positroid verdicts must add other families.
     """
     n = rng.randint(1, max_n)
     ground = GroundSet([str(i + 1) for i in range(n)])

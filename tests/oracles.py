@@ -3,7 +3,9 @@
 Everything here is deliberately written along different lines than the
 package: ranks come from a largest-independent-subset dynamic program,
 branch-width from exhaustive cubic-tree enumeration, Tutte values from a
-direct subset sum.  Slow, simple, and only for small ground sets.
+direct subset sum, lattice verdicts from a pair-by-pair walk of the
+inclusion order on Python bitsets and, separately, from the rank formula
+element by element.  Slow, simple, and only for small ground sets.
 """
 
 from itertools import combinations, permutations
@@ -311,16 +313,14 @@ def rank_below_tangle_oracle(M: Matroid, c: int, k: int) -> bool:
     return True
 
 
-def validate_oracle(flats, labels):
-    """The cyclic-flat axiom checks, one rank evaluation per element.
+def family_checks(flats, labels):
+    """The checks of validate_axioms before its pair sweep.
 
-    Runs the checks of validate_axioms in the same order on the same
-    sweep, but computes the join of X and Y by testing r(U + e) = r(U)
-    for every e outside U = X | Y, the meet by testing r(S - e) < r(S)
-    for every e in S = X & Y, and looks for a violating upper or lower
-    bound by scanning the whole family.  flats is a list of (mask, rank)
-    pairs without repeated masks.  Returns None when the family is
-    accepted, else (name of the violation class, witness as labels).
+    flats is a list of (mask, rank) pairs without repeated masks.  Returns
+    the members sorted by size and then labels, a function naming a mask
+    by its labels, and the first violation of the least and greatest
+    members, (Z1) or (Z2) as (name of the violation class, witness), or
+    None when all of them hold.
     """
     n = len(labels)
     full = (1 << n) - 1
@@ -333,21 +333,106 @@ def validate_oracle(flats, labels):
 
     recs = sorted(flats, key=lambda ar: (size(ar[0]), names(ar[0])))
     byset = dict(recs)
-    masks = [a for a, _ in recs]
     meet_all, join_all = full, 0
-    for a in masks:
+    for a, _ in recs:
         meet_all &= a
         join_all |= a
     if meet_all not in byset:
-        return "Z0Violation", names(meet_all)
+        return recs, names, ("Z0Violation", names(meet_all))
     if join_all not in byset:
-        return "Z0Violation", names(join_all)
+        return recs, names, ("Z0Violation", names(join_all))
     if byset[meet_all] != 0:
-        return "Z1Violation", names(meet_all)
+        return recs, names, ("Z1Violation", names(meet_all))
     for x, rx in recs:
         for y, ry in recs:
             if x != y and x & ~y == 0 and not 0 < ry - rx < size(y & ~x):
-                return "Z2Violation", (names(x), names(y))
+                return recs, names, ("Z2Violation", (names(x), names(y)))
+    return recs, names, None
+
+
+def order_violations(recs, names):
+    """The literal order sweep of a family that passes family_checks,
+    given the sorted members recs and the naming function it returns.
+
+    The upper and lower bounds of each member are Python bitsets over the
+    member numbers.  For each incomparable pair X, Y, in the order of the
+    pairs (i, j) with i < j, yields at most one violation: ("no join",
+    (X, Y, J, V)) when an upper bound V misses the first upper bound J;
+    ("no meet", (X, Y, K, W)) when a lower bound W is not inside the last
+    lower bound K; else ("Z3Violation", (X, Y)) when r(J) + r(K) +
+    |X & Y - K| exceeds r(X) + r(Y).  Uses no rank formula.
+    """
+    masks = [a for a, _ in recs]
+    up = [sum(1 << q for q, z in enumerate(masks) if x & ~z == 0)
+          for x in masks]
+    down = [sum(1 << q for q, z in enumerate(masks) if z & ~x == 0)
+            for x in masks]
+
+    def first(bits):
+        return (bits & -bits).bit_length() - 1
+
+    for i, (x, rx) in enumerate(recs):
+        for j in range(i + 1, len(recs)):
+            y, ry = recs[j]
+            if x & ~y == 0:
+                continue
+            upper = up[i] & up[j]
+            jn = first(upper)
+            stray = upper & ~up[jn]
+            if stray:
+                yield "no join", (names(x), names(y), names(masks[jn]),
+                                  names(masks[first(stray)]))
+                continue
+            lower = down[i] & down[j]
+            mt = lower.bit_length() - 1
+            stray = lower & ~down[mt]
+            if stray:
+                yield "no meet", (names(x), names(y), names(masks[mt]),
+                                  names(masks[first(stray)]))
+                continue
+            extra = bin(x & y & ~masks[mt]).count("1")
+            if recs[jn][1] + recs[mt][1] + extra > rx + ry:
+                yield "Z3Violation", (names(x), names(y))
+
+
+def validate_oracle(flats, labels):
+    """The verdict of validate_axioms from the literal order sweep.
+
+    Runs family_checks, then takes the first violation of
+    order_violations: a pair without a join is a Z0Violation with witness
+    (X, Y, J, V).  A pair without a meet is returned as "no meet", which
+    the library never raises: by the lemma in the core module docstring
+    an earlier pair then lacks a join.  Returns None when the family is
+    accepted, else (name of the violation class, witness as labels).
+    """
+    recs, names, verdict = family_checks(flats, labels)
+    if verdict is not None:
+        return verdict
+    for kind, witness in order_violations(recs, names):
+        return ("Z0Violation" if kind == "no join" else kind), witness
+    return None
+
+
+def formula_oracle(flats, labels) -> bool:
+    """Whether the family is accepted, from the rank formula alone.
+
+    After family_checks, computes the join of each incomparable pair X, Y
+    by testing r(U + e) = r(U) for every e outside U = X | Y, the meet by
+    testing r(S - e) < r(S) for every e in S = X & Y, and requires both
+    to lie in the family, the join to lie in every member containing
+    X | Y, every member inside X & Y to lie in the meet, and (Z3) with
+    them.  Shares no step with the order sweep; by the theorem of Bonin
+    and de Mier the verdicts agree.
+    """
+    n = len(labels)
+    recs, _, verdict = family_checks(flats, labels)
+    if verdict is not None:
+        return False
+    byset = dict(recs)
+    masks = [a for a, _ in recs]
+
+    def size(x):
+        return bin(x).count("1")
 
     def crank(u):
         return min(r + size(u & ~a) for a, r in recs)
@@ -367,20 +452,17 @@ def validate_oracle(flats, labels):
             if x & ~y == 0 or y & ~x == 0:
                 continue
             jn = rule_join(x | y)
-            if jn not in byset:
-                return "Z0Violation", (names(x), names(y))
+            mt = rule_meet(x & y)
+            if jn not in byset or mt not in byset:
+                return False
             for z in masks:
                 if x | y | z == z and jn | z != z:
-                    return "Z0Violation", (names(x), names(y), names(z))
-            mt = rule_meet(x & y)
-            if mt not in byset:
-                return "Z0Violation", (names(x), names(y))
-            for z in masks:
+                    return False
                 if z & x & y == z and z & mt != z:
-                    return "Z0Violation", (names(x), names(y), names(z))
+                    return False
             if byset[jn] + byset[mt] + size(x & y & ~mt) > rx + ry:
-                return "Z3Violation", (names(x), names(y))
-    return None
+                return False
+    return True
 
 
 def positroid_constraints_oracle(M: Matroid):

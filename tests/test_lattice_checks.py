@@ -1,23 +1,22 @@
 """Lattice operations against direct definitions: validate_axioms against
-the per-element oracle, closure and cyclic parts against rank tables, and
-the expansion and duality identities on random matroids."""
+the literal order sweep and, in verdict, the per-element rank-formula
+oracle, closure and cyclic parts against rank tables, and the expansion
+and duality identities on random matroids."""
 
 import random
 from collections import Counter
 from itertools import combinations
 
-import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cycflats.core
-from cycflats import (AxiomViolation, GroundSet, Matroid, MatroidError,
-                      Z3Violation, deflate, expand, popcount,
-                      validate_axioms)
-from cycflats.core import _raise_first_violation
+from cycflats import (AxiomViolation, GroundSet, Z3Violation, deflate,
+                      expand, popcount, validate_axioms)
 from cycflats.verify import random_matroid
 
-from oracles import rank_table_oracle, validate_oracle
+from oracles import (family_checks, formula_oracle, order_violations,
+                     rank_table_oracle, validate_oracle)
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.filter_too_much])
@@ -51,14 +50,12 @@ def families(draw):
     return M.ground, sorted(zee.items())
 
 
-@st.composite
-def graded_families(draw):
-    """Random sets with ranks that pass (Z1) and (Z2) by construction, so
-    that the join, meet and (Z3) checks decide: each set's nullity
-    exceeds that of every member below it and its rank exceeds theirs."""
-    n = draw(st.integers(4, 7))
+def graded(draw, n, sets):
+    """The sets, with 0 and the ground set, under ranks that pass (Z1) and
+    (Z2) by construction: each set's nullity exceeds that of every member
+    below it and its rank exceeds theirs.  A set that leaves no such rank
+    is dropped."""
     full = (1 << n) - 1
-    sets = draw(st.sets(st.integers(1, full - 1), max_size=6))
     rank = {}
     nullity = {}
     for a in sorted({0, full} | sets, key=popcount):
@@ -74,6 +71,46 @@ def graded_families(draw):
     return ground, sorted(rank.items())
 
 
+@st.composite
+def graded_families(draw):
+    """Random sets under graded ranks, so that the join, meet and (Z3)
+    checks decide."""
+    n = draw(st.integers(4, 7))
+    return graded(draw, n, draw(st.sets(st.integers(1, (1 << n) - 2),
+                                        max_size=6)))
+
+
+@st.composite
+def unjoined_families(draw):
+    """Graded families with sets X = S | P and Y = S | Q under U = X | Y | A
+    and V = X | Y | B, for disjoint nonempty P, Q, A, B and an S that
+    leaves an element out, plus up to two random sets: like two lines
+    under two planes, X and Y often have no join."""
+    n = draw(st.integers(6, 8))
+    perm = draw(st.permutations(range(n)))
+    cuts = [0] + sorted(draw(st.sets(st.integers(1, n - 1), min_size=4,
+                                     max_size=4)))
+    p, q, a, b = (sum(1 << e for e in perm[s:t])
+                  for s, t in zip(cuts, cuts[1:]))
+    rest = perm[cuts[-1]:]
+    s = sum(1 << e for e in rest[:draw(st.integers(0, len(rest) - 1))])
+    x, y = s | p, s | q
+    sets = {x, y, x | y | a, x | y | b}
+    return graded(draw, n, sets | draw(st.sets(st.integers(1, (1 << n) - 2),
+                                               max_size=2)))
+
+
+ALL_FAMILIES = st.one_of(families(), graded_families(), unjoined_families())
+
+
+def raised(flats, ground):
+    try:
+        validate_axioms(flats, ground)
+    except AxiomViolation as exc:
+        return exc
+    return None
+
+
 def _verdict(flats, ground):
     try:
         M = validate_axioms(flats, ground)
@@ -83,11 +120,11 @@ def _verdict(flats, ground):
     return None
 
 
-def test_validation_matches_the_per_element_oracle():
+def test_validation_matches_the_order_oracle():
     verdicts = Counter()
 
     @settings(SETTINGS, max_examples=600)
-    @given(st.one_of(families(), graded_families()))
+    @given(ALL_FAMILIES)
     def check(case):
         ground, flats = case
         want = validate_oracle(flats, ground.labels)
@@ -102,18 +139,91 @@ def test_validation_matches_the_per_element_oracle():
         assert verdicts[name] > 0, verdicts
 
 
+def family(labels, flats):
+    """A ground set on labels and its sorted (mask, rank) pairs."""
+    ground = GroundSet(labels)
+    return ground, sorted((ground.mask_of(s), r) for s, r in flats)
+
+
 def test_upper_bound_witness_matches_the_oracle():
-    # three rank-2 planes over the lines 23 and 26 make every element
-    # spanned by 236, so the computed join is the whole set, and the first
-    # plane is an upper bound of the two lines that misses it
-    ground = GroundSet("123456")
-    flats = sorted((ground.mask_of(s), r) for s, r in (
+    # three rank-2 planes contain the lines 23 and 26: the first plane is
+    # their smallest upper bound, and the second misses it
+    ground, flats = family("123456", (
         ("", 0), ("23", 1), ("26", 1), ("1236", 2), ("2346", 2),
         ("2356", 2), ("123456", 3)))
     want = validate_oracle(flats, ground.labels)
     assert want == ("Z0Violation", (("2", "3"), ("2", "6"),
-                                    ("1", "2", "3", "6")))
+                                    ("1", "2", "3", "6"),
+                                    ("2", "3", "4", "6")))
     assert _verdict(flats, ground) == want
+
+
+# two lines 12 and 34 under two planes 12345 and 12346 of rank 3
+SEVEN = (("", 0), ("12", 1), ("34", 1), ("12345", 3), ("12346", 3),
+         ("1234567", 4))
+
+
+def test_the_first_failing_pair_is_named():
+    # 256 and 368 have join 12345678 and meet the empty set, and meet
+    # (Z3) (3 + 0 + 1 <= 4); the pair (256, 23458) breaks it (3 + 0 + 2 > 3)
+    ground, flats = family("12345678", (
+        ("", 0), ("256", 2), ("368", 2), ("23458", 1), ("12345678", 3)))
+    want = ("Z3Violation", (("2", "5", "6"), ("2", "3", "4", "5", "8")))
+    assert validate_oracle(flats, ground.labels) == want
+    assert _verdict(flats, ground) == want
+    # 12 and 34 have no join; 12345 and 12346 have no meet either, but
+    # the sweep meets the missing join first
+    ground, flats = family("1234567", SEVEN)
+    want = ("Z0Violation", (("1", "2"), ("3", "4"), ("1", "2", "3", "4", "5"),
+                            ("1", "2", "3", "4", "6")))
+    assert validate_oracle(flats, ground.labels) == want
+    assert _verdict(flats, ground) == want
+    assert str(raised(flats, ground)) == (
+        "['1', '2'] and ['3', '4'] have no join: the upper bound "
+        "['1', '2', '3', '4', '6'] does not contain their smallest upper "
+        "bound ['1', '2', '3', '4', '5']")
+
+
+def test_z3_message_reads_the_lattice_join_and_meet():
+    # the lines 1234 and 1235 share 123 and the parallel pair 12, their
+    # meet: r(join) + r(meet) + |123 - 12| = 3 + 1 + 1 > 2 + 2
+    ground, flats = family("123456", (
+        ("", 0), ("12", 1), ("1234", 2), ("1235", 2), ("123456", 3)))
+    got = raised(flats, ground)
+    assert isinstance(got, Z3Violation)
+    assert str(got) == ("pair ['1', '2', '3', '4'], ['1', '2', '3', '5']: "
+                        "r(join)+r(meet)+1 = 5 exceeds r(X)+r(Y) = 4")
+
+
+def test_a_missing_meet_is_never_the_first_violation():
+    """If a lower bound W of X and Y is not inside their largest lower
+    bound K, then K and W, swept before X and Y, have no join, so the
+    order pass needs no meet check of its own."""
+    kinds = Counter()
+
+    def check(ground, flats):
+        recs, names, verdict = family_checks(flats, ground.labels)
+        if verdict is not None:
+            return
+        found = [kind for kind, _ in order_violations(recs, names)]
+        assert found[:1] != ["no meet"]
+        kinds[found[0] if found else "accepted"] += 1
+        kinds["with a missing meet"] += "no meet" in found
+
+    check(*family("1234567", SEVEN))
+    assert kinds["with a missing meet"] == 1
+
+    @settings(SETTINGS, max_examples=600)
+    @given(ALL_FAMILIES)
+    def sweep(case):
+        check(*case)
+
+    sweep()
+    # every outcome must have been reached, and the meet check must have
+    # fired on the random draws too, behind a missing join
+    for name in ("accepted", "no join", "Z3Violation"):
+        assert kinds[name] > 0, kinds
+    assert kinds["with a missing meet"] > 1, kinds
 
 
 @st.composite
@@ -254,10 +364,10 @@ def test_validation_across_blocks_matches_the_oracle():
         "add": flats + [(added, r - 1)],
     }
     got = {}
-    for kind, family in cases.items():
-        family = sorted(family)
-        want = validate_oracle(family, labels)
-        assert _verdict(family, ground) == want, kind
+    for kind, members in cases.items():
+        members = sorted(members)
+        want = validate_oracle(members, labels)
+        assert _verdict(members, ground) == want, kind
         got[kind] = want and want[0]
     # a sparse paving family without one circuit-hyperplane is one too;
     # raising r(E) breaks (Z3) on two that share r - 2 elements
@@ -265,66 +375,35 @@ def test_validation_across_blocks_matches_the_oracle():
                    "add": "Z3Violation"}
 
 
-# -- the order pass against the rank-formula sweep -----------------------------
-
-def formula_sweep(flats, ground):
-    """The rank-formula sweep over every incomparable pair of the family
-    (members sorted by size, so no member lies in an earlier one): its
-    first violation, or None when it accepts."""
-    recs = Matroid(ground, flats).zee
-    m = len(recs)
-    pairs = [i * m + j for i in range(m) for j in range(i + 1, m)
-             if recs[i][0] & ~recs[j][0]]
-    try:
-        _raise_first_violation(recs, ground, np.array(pairs, dtype=np.intp))
-    except AxiomViolation as exc:
-        return exc
-    except MatroidError:
-        return None
-    raise AssertionError("the sweep neither raised nor accepted")
-
-
-def raised(flats, ground):
-    try:
-        validate_axioms(flats, ground)
-    except AxiomViolation as exc:
-        return exc
-    return None
-
-
-def same_violation(a, b):
-    return (type(a), str(a), a.witness) == (type(b), str(b), b.witness)
-
+# -- the order pass against the rank-formula oracle ---------------------------
 
 def test_order_pass_and_rank_formula_sweep_agree(monkeypatch):
     verdicts = Counter()
     flagged = []
 
-    def spy(recs, ground, pairs):
-        flagged.append(len(pairs))
-        _raise_first_violation(recs, ground, pairs)
+    real = cycflats.core._raise_order_violation
 
-    monkeypatch.setattr(cycflats.core, "_raise_first_violation", spy)
+    def spy(recs, ground, sub, i, j):
+        flagged.append((i, j))
+        real(recs, ground, sub, i, j)
+
+    monkeypatch.setattr(cycflats.core, "_raise_order_violation", spy)
 
     @settings(SETTINGS, max_examples=600)
-    @given(st.one_of(families(), graded_families()))
+    @given(ALL_FAMILIES)
     def check(case):
         ground, flats = case
         flagged.clear()
         got = raised(flats, ground)
+        accepted = formula_oracle(flats, ground.labels)
         if got is not None and not flagged:
+            assert not accepted
             verdicts["before the pass"] += 1
             return
-        # the order pass rejects exactly the families that the sweep
-        # rejects, and then raises the sweep's first violation
-        want = formula_sweep(flats, ground)
-        assert bool(flagged) == (want is not None)
-        if want is None:
-            assert got is None
-            verdicts["accepted"] += 1
-        else:
-            assert same_violation(got, want)
-            verdicts[type(want).__name__] += 1
+        # the order pass rejects exactly the families that the rank
+        # formula rejects
+        assert bool(flagged) == (not accepted) == (got is not None)
+        verdicts[type(got).__name__ if got else "accepted"] += 1
 
     check()
     # both directions and both kinds of violation must have been reached
@@ -339,8 +418,8 @@ def test_validation_of_a_302_flat_family():
     step = cycflats.core._CHUNK // (len(flats) + 1)
     M = validate_axioms(flats, ground)
     assert sorted(M.zee) == sorted(flats) and len(flats) == 302
-    # raising r(E) breaks (Z3) early in the sweep; the oracle reaches it
-    # at once (it would take about a minute to accept the family)
+    assert validate_oracle(flats, labels) is None
+    # raising r(E) breaks (Z3) early in the sweep
     raise_top = sorted((a, rk + (a == ground.full)) for a, rk in flats)
     want = validate_oracle(raise_top, labels)
     assert want[0] == "Z3Violation"
@@ -351,6 +430,6 @@ def test_validation_of_a_302_flat_family():
     assert sweep_position([a for a, _ in late], labels, added, h) >= step
     got = raised(late, ground)
     assert isinstance(got, Z3Violation)
-    assert same_violation(got, formula_sweep(late, ground))
+    assert (type(got).__name__, got.witness) == validate_oracle(late, labels)
     assert sorted(got.witness) == sorted(
         (ground.labels_of(added), ground.labels_of(h)))
