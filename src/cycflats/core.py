@@ -176,9 +176,6 @@ class Matroid:
                 inter &= a
         return best, union, inter
 
-    def rank_of(self, elements: Iterable[str]) -> int:
-        return self.rank(self.ground.mask_of(elements))
-
     def closure(self, mask: int) -> int:
         return mask | self._attaining(mask)[1]
 
@@ -379,12 +376,6 @@ class Matroid:
             "elements": list(self.ground.labels),
             "cyclic_flats": [{"set": s, "rank": r} for s, r in flats],
         }
-
-    def to_json(self, pretty: bool = False) -> str:
-        d = self.to_json_dict()
-        if pretty:
-            return json.dumps(d, indent=2)
-        return json.dumps(d)
 
     def __repr__(self):
         return "Matroid(n=%d, r=%d, cyclic_flats=%d)" % (

@@ -86,9 +86,6 @@ class ExpansionMap:
                 out |= 1 << i
         return out
 
-    def block_mask(self, e: str) -> int:
-        return self.block_masks[self.base_ground.index[e]]
-
     def to_json_dict(self) -> dict:
         return {
             "t": self.t,

@@ -12,7 +12,15 @@ sized and weighted by its prod C(s_c, x_c) sets from two row vectors
 
 The configuration of a coloop-free matroid is its unlabeled lattice of
 cyclic flats decorated with each flat's size and rank; it determines the
-Tutte polynomial, which the test suite exercises.
+Tutte polynomial, which the test suite exercises.  config_isomorphic
+backtracks over a relation table per configuration (1, -1 or 0 as node i
+is below, above or incomparable to j), mapping each node to one of the
+same decoration and numbers of nodes below and above that keeps every
+relation to the mapped nodes.  Next to map is the node with the most
+relations to mapped ones, ties to the lowest index (a node comparable to
+all others adds to every count alike).  Past ISO_BUDGET candidates tried
+it raises BudgetExceeded: search stays exponential in the worst case
+(McKay and Piperno, J. Symbolic Comput. 60, 2014).
 """
 
 from __future__ import annotations
@@ -24,8 +32,10 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .core import _CHUNK, Matroid, popcount
-from .errors import HasColoops, MatroidError
+from .errors import BudgetExceeded, HasColoops, MatroidError
 from .orbits import clonal_space
+
+ISO_BUDGET = 1 << 20      # search nodes of config_isomorphic
 
 
 class TuttePolynomial:
@@ -128,23 +138,6 @@ class Configuration:
     deco: Tuple[Tuple[int, int], ...]
     leq: frozenset
 
-    def _node_signatures(self) -> list:
-        """(decoration, down-degree, up-degree) of each node, from one
-        pass over leq."""
-        n = len(self.deco)
-        below = [0] * n
-        above = [0] * n
-        for i, j in self.leq:
-            above[i] += 1
-            below[j] += 1
-        return [(self.deco[i], below[i], above[i]) for i in range(n)]
-
-    def signature(self):
-        return sorted(self._node_signatures())
-
-    def node_signature(self, i: int):
-        return self._node_signatures()[i]
-
     def covers(self):
         out = []
         for i, j in sorted(self.leq):
@@ -179,46 +172,65 @@ def configuration(M: Matroid) -> Configuration:
 
 def config_isomorphic(C1: Configuration, C2: Configuration
                       ) -> Tuple[bool, Optional[dict]]:
-    """Decorated-lattice isomorphism via backtracking.
-
-    Returns (True, witness map node->node) or (False, None).  Candidates
-    are pruned by (decoration, down-degree, up-degree) signatures.
-    """
+    """Decorated-lattice isomorphism by the relation-ordered search of
+    the module docstring: (True, witness map node->node), the witness
+    checked, or (False, None)."""
     n = len(C1.deco)
     if n != len(C2.deco):
         return False, None
-    sig1, sig2 = C1._node_signatures(), C2._node_signatures()
-    if sorted(sig1) != sorted(sig2):
+    (rel1, key1), (rel2, key2) = _relations(C1), _relations(C2)
+    if sorted(key1) != sorted(key2):
         return False, None
-    cands = [[j for j in range(n) if sig1[i] == sig2[j]] for i in range(n)]
-    order = sorted(range(n), key=lambda i: len(cands[i]))
-    assign: Dict[int, int] = {}
-    used = [False] * n
+    slots: Dict[tuple, list] = {}
+    for j, key in enumerate(key2):
+        slots.setdefault(key, []).append(j)
+    cands = [slots[key] for key in key1]
+    links = [[k for k, r in enumerate(row) if r] for row in rel1]
+    weight, image, used = [0] * n, [-1] * n, [False] * n
+    # mapped nodes, the candidates left to each and to the current node
+    placed, tries, pending, tried = [], [], None, 0
+    while len(placed) < n:
+        if pending is None:
+            i = max((k for k in range(n) if image[k] < 0),
+                    key=lambda k: (weight[k], -k))
+            pending = iter(cands[i])
+        row = rel1[i]
+        for j in pending:
+            tried += 1
+            if tried > ISO_BUDGET:
+                raise BudgetExceeded("configuration isomorphism searched "
+                                     "more than %d nodes" % ISO_BUDGET)
+            if not used[j] and all(row[a] == rel2[j][image[a]]
+                                   for a in placed):
+                break
+        else:
+            if not placed:
+                return False, None
+            i, pending = placed.pop(), tries.pop()
+            used[image[i]], image[i] = False, -1
+            for k in links[i]:
+                weight[k] -= 1
+            continue
+        image[i], used[j] = j, True
+        placed.append(i)
+        tries.append(pending)
+        for k in links[i]:
+            weight[k] += 1
+        pending = None
+    if (sorted(image) != list(range(n))
+            or any(C1.deco[i] != C2.deco[image[i]] for i in range(n))
+            or {(image[i], image[j]) for i, j in C1.leq} != C2.leq):
+        raise MatroidError("internal check failed: configuration witness "
+                           "is no isomorphism")
+    return True, dict(enumerate(image))
 
-    def backtrack(pos: int) -> bool:
-        if pos == n:
-            return True
-        i = order[pos]
-        for j in cands[i]:
-            if used[j]:
-                continue
-            ok = True
-            for i2, j2 in assign.items():
-                below = (i, i2) in C1.leq
-                above = (i2, i) in C1.leq
-                if below != ((j, j2) in C2.leq) or \
-                        above != ((j2, j) in C2.leq):
-                    ok = False
-                    break
-            if ok:
-                assign[i] = j
-                used[j] = True
-                if backtrack(pos + 1):
-                    return True
-                del assign[i]
-                used[j] = False
-        return False
 
-    if backtrack(0):
-        return True, dict(assign)
-    return False, None
+def _relations(C: Configuration) -> tuple:
+    """rel[i][j] = 1 when node i is below j, -1 when above, else 0, and
+    the key of each node: (decoration, nodes below, nodes above)."""
+    n = len(C.deco)
+    rel = [[0] * n for _ in range(n)]
+    for i, j in C.leq:
+        rel[i][j], rel[j][i] = 1, -1
+    return rel, [(d, row.count(-1), row.count(1))
+                 for d, row in zip(C.deco, rel)]

@@ -5,7 +5,9 @@ package: ranks come from a largest-independent-subset dynamic program,
 branch-width from exhaustive cubic-tree enumeration, Tutte values from a
 direct subset sum, lattice verdicts from a pair-by-pair walk of the
 inclusion order on Python bitsets and, separately, from the rank formula
-element by element.  Slow, simple, and only for small ground sets.
+element by element, configuration isomorphism by trying bijections in
+index order.  Slow, simple, and only for small ground sets.  The graph
+families at the end are inputs for that last oracle.
 """
 
 from itertools import combinations, permutations
@@ -523,3 +525,61 @@ def positroid_search_oracle(M: Matroid):
         if positroid_order_oracle(M, order, constraints)[0]:
             return order, checked
     return None, checked
+
+
+def config_isomorphic_oracle(C1, C2) -> bool:
+    """Is there a bijection of the nodes that keeps every (size, rank)
+    decoration and carries the strict order of C1 onto that of C2?
+    Decoration-preserving bijections are tried node by node in index
+    order, a partial map dropped as soon as two of its nodes break the
+    order."""
+    n = len(C1.deco)
+    if n != len(C2.deco):
+        return False
+    same = [[j for j in range(n) if C2.deco[j] == d] for d in C1.deco]
+    up1 = [{j for a, j in C1.leq if a == i} for i in range(n)]
+    up2 = [{j for a, j in C2.leq if a == i} for i in range(n)]
+    image = []
+
+    def extend():
+        i = len(image)
+        if i == n:
+            return True
+        for j in same[i]:
+            if j in image:
+                continue
+            if all((a in up1[i]) == (b in up2[j])
+                   and (i in up1[a]) == (j in up2[b])
+                   for a, b in enumerate(image)):
+                image.append(j)
+                if extend():
+                    return True
+                image.pop()
+        return False
+
+    return extend()
+
+
+def graph_family(k: int, edges) -> dict:
+    """The matroid JSON of k disjoint 3-point lines l_i of rank 2, the
+    plane l_i | l_j of rank 3 for each edge ij of a simple graph on
+    range(k), and the ground set of rank 4.  It is valid for every graph,
+    and two graphs give isomorphic configurations exactly when they are
+    isomorphic."""
+    lines = [[str(3 * i + d) for d in range(3)] for i in range(k)]
+    ground = [e for line in lines for e in line]
+    return {"elements": ground, "cyclic_flats": (
+        [{"set": [], "rank": 0}]
+        + [{"set": line, "rank": 2} for line in lines]
+        + [{"set": lines[i] + lines[j], "rank": 3} for i, j in edges]
+        + [{"set": ground, "rank": 4}])}
+
+
+def cycle_pair(k2: int):
+    """graph_family of one cycle of length k2 and of two cycles of length
+    k2 / 2: every node has the same decoration and numbers of nodes below
+    and above it in both, and the two are not isomorphic."""
+    k = k2 // 2
+    one = [(i, (i + 1) % k2) for i in range(k2)]
+    two = [(s + i, s + (i + 1) % k) for s in (0, k) for i in range(k)]
+    return graph_family(k2, one), graph_family(k2, two)

@@ -10,6 +10,8 @@ from cycflats import from_json_dict, tutte_polynomial, uniform
 from cycflats.catalog import get, three_lines_tree
 from cycflats.cli import main
 
+from oracles import cycle_pair
+
 BASE = [sys.executable, "-m", "cycflats"]
 
 
@@ -161,6 +163,36 @@ def test_config_and_compare():
     code, out, _ = run_cli("config", "compare", "fig1_M", "fig2_M")
     assert code == 2
     assert json.loads(out)["isomorphic"] is False
+
+
+@pytest.fixture()
+def cycle_files(tmp_path):
+    """The graph families of one 12-cycle and of two 6-cycles of planes,
+    as two matroid files."""
+    paths = [tmp_path / "one.json", tmp_path / "two.json"]
+    for path, obj in zip(paths, cycle_pair(12)):
+        path.write_text(json.dumps(obj))
+    return [str(p) for p in paths]
+
+
+def test_compare_decides_the_cycle_pair(cycle_files):
+    # every node has the same decoration and numbers of nodes below and
+    # above it in both; a search that orders by those alone did not
+    # finish in 600 s here
+    proc = subprocess.run(BASE + ["config", "compare"] + cycle_files,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stdout) == {"isomorphic": False, "witness": None}
+
+
+def test_compare_refuses_past_the_search_budget(cycle_files, monkeypatch,
+                                                capsys):
+    monkeypatch.setattr("cycflats.invariants.ISO_BUDGET", 100)
+    assert main(["config", "compare"] + cycle_files) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("cycflats: BudgetExceeded: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_expand_deflate_round_trip(tmp_path):

@@ -1,9 +1,13 @@
 import math
 import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
+import cycflats.invariants
 from cycflats import (
+    Configuration,
     HasColoops,
     Tangle,
     TuttePolynomial,
@@ -11,9 +15,11 @@ from cycflats import (
     config_isomorphic,
     configuration,
     expand,
+    from_json_dict,
     kappa_scaling_check,
     popcount,
     rank_bounded_family,
+    random_matroid,
     run_suite,
     run_theorem,
     tutte_connectivity,
@@ -25,7 +31,9 @@ from cycflats import (
 )
 from cycflats.catalog import entries, get, three_lines_tree
 
-from oracles import basis_count_oracle, rank_table_oracle, tutte_eval_oracle
+from oracles import (basis_count_oracle, config_isomorphic_oracle,
+                     cycle_pair, graph_family, rank_table_oracle,
+                     tutte_eval_oracle)
 
 
 def _terms(t: TuttePolynomial):
@@ -173,6 +181,139 @@ def test_config_isomorphic_is_an_equivalence_spotcheck():
     assert config_isomorphic(cm, cn)[0] == config_isomorphic(cn, cm)[0]
     # transitivity through the pair and back
     assert config_isomorphic(cn, cn)[0]
+
+
+def shuffled(C, rng):
+    """C with its nodes renumbered at random."""
+    perm = list(range(len(C.deco)))
+    rng.shuffle(perm)
+    deco = [None] * len(perm)
+    for i, d in enumerate(C.deco):
+        deco[perm[i]] = d
+    return Configuration(tuple(deco),
+                         frozenset((perm[i], perm[j]) for i, j in C.leq))
+
+
+def node_keys(C):
+    """The multiset of (decoration, nodes below, nodes above)."""
+    return sorted((d, sum(j == i for _, j in C.leq),
+                   sum(a == i for a, _ in C.leq))
+                  for i, d in enumerate(C.deco))
+
+
+def is_isomorphism(C1, C2, image):
+    n = len(C1.deco)
+    return (sorted(image) == sorted(image.values()) == list(range(n))
+            and all(C1.deco[i] == C2.deco[image[i]] for i in range(n))
+            and {(image[i], image[j]) for i, j in C1.leq} == C2.leq)
+
+
+def switched(edges, rng, times):
+    """edges after `times` degree-preserving switches ab, cd -> ac, bd,
+    or fewer when 20 * times random tries do not find them."""
+    edges = list(edges)
+    have = {frozenset(e) for e in edges}
+    tries = 20 * times if len(edges) > 1 else 0
+    while times and tries:
+        tries -= 1
+        s, t = rng.sample(range(len(edges)), 2)
+        (a, b), (c, d) = edges[s], edges[t]
+        if rng.random() < 0.5:
+            c, d = d, c
+        if (len({a, b, c, d}) < 4 or frozenset((a, c)) in have
+                or frozenset((b, d)) in have):
+            continue
+        have -= {frozenset((a, b)), frozenset((c, d))}
+        have |= {frozenset((a, c)), frozenset((b, d))}
+        edges[s], edges[t] = (a, c), (b, d)
+        times -= 1
+    return edges
+
+
+def config_of(obj):
+    return configuration(from_json_dict(obj))
+
+
+def profile(k, edges):
+    """The sorted (degree, neighbour degrees, triangles) of the vertices:
+    graphs that differ in it are not isomorphic."""
+    nbrs = [set() for _ in range(k)]
+    for a, b in edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    return sorted((len(nb), sorted(len(nbrs[u]) for u in nb),
+                   sum(len(nbrs[u] & nb) for u in nb)) for nb in nbrs)
+
+
+def graph_pairs(rng, count, differ):
+    """count (G, H) edge lists on 4-6 vertices, H by 1-4 degree-preserving
+    switches of G; with differ, only pairs whose profiles differ."""
+    while count:
+        k = rng.randint(4, 6)
+        edges = [e for e in combinations(range(k), 2) if rng.random() < 0.5]
+        other = switched(edges, rng, rng.randint(1, 4))
+        if not differ or profile(k, edges) != profile(k, other):
+            count -= 1
+            yield k, edges, other
+
+
+def seeded_pairs(rng):
+    """340 pairs of configurations, the second node-shuffled: 240 graph
+    families against a switch of their graph, 120 of them known not to be
+    isomorphic; 40 graph families and 40 coloop-free random_matroid
+    configurations against themselves, and 20 random_matroid
+    configurations against another draw."""
+    for differ in (False, True):
+        for k, edges, other in graph_pairs(rng, 120, differ):
+            yield (config_of(graph_family(k, edges)),
+                   shuffled(config_of(graph_family(k, other)), rng))
+    for k, edges, _ in graph_pairs(rng, 40, False):
+        C = config_of(graph_family(k, edges))
+        yield C, shuffled(C, rng)
+    draws = []
+    while len(draws) < 80:
+        M = random_matroid(rng, 7)
+        if not M.coloops:
+            draws.append(configuration(M))
+    for C in draws[:40]:
+        yield C, shuffled(C, rng)
+    for C, D in zip(draws[40:60], draws[60:]):
+        yield C, shuffled(D, rng)
+
+
+def test_config_isomorphic_matches_the_oracle():
+    seen = Counter()
+    for C1, C2 in seeded_pairs(random.Random(21)):
+        ok, image = config_isomorphic(C1, C2)
+        assert ok == config_isomorphic_oracle(C1, C2)
+        if ok:
+            assert is_isomorphism(C1, C2, image)
+            seen["isomorphic"] += 1
+        elif node_keys(C1) == node_keys(C2):
+            seen["not isomorphic, same node keys"] += 1
+        else:
+            seen["not isomorphic"] += 1
+    # negatives that no count of nodes below and above tells apart must
+    # make up a third of the pairs
+    assert sum(seen.values()) >= 300, seen
+    assert 3 * seen["not isomorphic, same node keys"] >= sum(seen.values())
+    assert seen["isomorphic"] >= 100 and seen["not isomorphic"] > 0, seen
+
+
+def test_cycle_pairs_are_decided_in_a_small_search(monkeypatch):
+    # one cycle of planes against two: every line, and every plane, has
+    # the same key in both, so a search that orders nodes by key alone
+    # tries every permutation of the lines
+    monkeypatch.setattr(cycflats.invariants, "ISO_BUDGET", 1 << 15)
+    rng = random.Random(12)
+    for k2 in (10, 12, 16, 20):
+        C1, C2 = (config_of(obj) for obj in cycle_pair(k2))
+        assert node_keys(C1) == node_keys(C2)
+        assert config_isomorphic(C1, C2) == (False, None)
+        for C in (C1, C2):
+            D = shuffled(C, rng)
+            ok, image = config_isomorphic(C, D)
+            assert ok and is_isomorphism(C, D, image)
 
 
 def test_same_configuration_forces_same_tutte():

@@ -53,19 +53,23 @@ def families(draw):
 def graded(draw, n, sets):
     """The sets, with 0 and the ground set, under ranks that pass (Z1) and
     (Z2) by construction: each set's nullity exceeds that of every member
-    below it and its rank exceeds theirs.  A set that leaves no such rank
-    is dropped."""
+    below it and its rank exceeds theirs.  A set's rank also leaves the
+    ground set room above every member, so the ground set is never
+    dropped; a set that leaves no such rank is."""
     full = (1 << n) - 1
-    rank = {}
-    nullity = {}
-    for a in sorted({0, full} | sets, key=popcount):
+    rank = {0: 0}
+    nullity = {0: 0}
+    for a in sorted(sets - {0, full}, key=popcount) + [full]:
         below = [b for b in rank if b & ~a == 0]
-        low_null = max([nullity[b] + 1 for b in below], default=0)
-        high_null = popcount(a) - max([rank[b] + 1 for b in below],
-                                      default=0)
-        if high_null < low_null:
+        low_null = max(nullity[b] + 1 for b in below)
+        high_null = popcount(a) - max(rank[b] + 1 for b in below)
+        top_rank, top_null = max(rank.values()), max(nullity.values())
+        fits = [u for u in range(low_null, high_null + 1)
+                if a == full or max(top_null, u) + max(top_rank, popcount(a)
+                                                        - u) <= n - 2]
+        if not fits:
             continue
-        nullity[a] = draw(st.integers(low_null, high_null))
+        nullity[a] = draw(st.sampled_from(fits))
         rank[a] = popcount(a) - nullity[a]
     ground = GroundSet([str(i + 1) for i in range(n)])
     return ground, sorted(rank.items())
@@ -137,6 +141,14 @@ def test_validation_matches_the_order_oracle():
     for name in ("accepted", "Z0Violation", "Z1Violation", "Z2Violation",
                  "Z3Violation"):
         assert verdicts[name] > 0, verdicts
+
+
+@SETTINGS
+@given(st.one_of(graded_families(), unjoined_families()))
+def test_graded_draws_keep_the_ground_set(case):
+    # a draw without a greatest member fails Z0 before the pair sweep
+    ground, flats = case
+    assert flats[-1][0] == ground.full
 
 
 def family(labels, flats):

@@ -399,13 +399,14 @@ def first_t3_pair(space, member, within=None):
     return maximal, None, None
 
 
-def t3_witness_agrees(M, space, tangle, member):
+def t3_witness_agrees(M, space, tangle, member, first=None):
     """verify_tangle's T3 witness for a tangle whose members, closed under
     subsets, are given as member flags of the dense states of space, is
-    the first violating pair of maximal members; returns that pair's row
-    and the number of maximal members."""
+    the first violating pair of maximal members (first, when given, is
+    that pair as first_t3_pair found it); returns that pair's row and the
+    number of maximal members."""
     E = M.ground.full
-    maximal, x, y = first_t3_pair(space, member)
+    maximal, x, y = first or first_t3_pair(space, member)
     X, Y = space.take(x, E), space.take(y, E, last=True)
     want = [sorted(M.ground.labels_of(a)) for a in (X, Y, E & ~(X | Y))]
     assert verify_tangle(M, tangle) == (False, {"axiom": "T3", "sets": want})
@@ -434,14 +435,14 @@ def three_covering_planes():
     return M, [popcount(x) < r or x in masks for x in range(1 << n)]
 
 
-def t3_sweep_past_the_first_block(monkeypatch, M, space, tangle, member,
+def t3_sweep_past_the_first_block(monkeypatch, M, space, tangle, first,
                                   big):
     """verify_tangle again, with one row per block of its T3 sweep: the
     rows it sweeps are the maximal members of at least n - 2 big
-    elements, in dense order, up to the violating row, and that row lies
-    past the first block."""
+    elements, in dense order, up to the violating row (first, the pair
+    of first_t3_pair), and that row lies past the first block."""
     E = M.ground.full
-    maximal, x, _ = first_t3_pair(space, member)
+    maximal, x, _ = first
     swept = [m for m in maximal
              if popcount(space.take(m, E)) >= M.ground.n - 2 * big]
     assert 3 * big >= M.ground.n and len(swept) < len(maximal)
@@ -460,29 +461,43 @@ def t3_sweep_past_the_first_block(monkeypatch, M, space, tangle, member,
     assert row >= 1 and blocks == [[m] for m in swept[:row + 1]]
 
 
-def test_t3_witness_is_the_first_pair_past_the_first_block(monkeypatch):
+@pytest.fixture(scope="module")
+def covering_planes():
+    """three_covering_planes(), its clonal space and its first T3 pair,
+    found once: the oracle takes seconds in pure Python."""
     M, member = three_covering_planes()
     space = OrbitSpace(M)
+    return M, member, space, first_t3_pair(space, member)
+
+
+def test_t3_witness_is_the_first_pair_past_the_first_block(monkeypatch,
+                                                           covering_planes):
+    M, member, space, first = covering_planes
     tangle = Tangle(6, rank_bounded_family(M, 5))
-    row, count = t3_witness_agrees(M, space, tangle, member)
+    row, count = t3_witness_agrees(M, space, tangle, member, first)
     # more than 256 maximal members: more than one block of rows, and
     # the violating row lies past the first
     assert count > 256 and row >= cycflats.core._CHUNK // count
     # a member has at most big = 5 elements (a circuit-hyperplane, rank
     # 4), so the library sweeps only the circuit-hyperplanes
-    t3_sweep_past_the_first_block(monkeypatch, M, space, tangle, member, 5)
+    t3_sweep_past_the_first_block(monkeypatch, M, space, tangle, first, 5)
 
 
-def test_explicit_t3_witness_past_the_first_block(monkeypatch):
+def test_explicit_t3_witness_past_the_first_block(monkeypatch,
+                                                  covering_planes):
     # the same sets as explicit masks: the singleton space, the superset
-    # table, and Z the first member containing the rest, here the rest
-    M, member = three_covering_planes()
+    # table, and Z the first member containing the rest, here the rest.
+    # M has no clones, so both spaces number the states alike and share
+    # the first pair
+    M, member, clonal, first = covering_planes
     space = OrbitSpace(M, [1 << i for i in range(M.ground.n)])
+    assert (space.members, space.strides) == (clonal.members, clonal.strides)
     members = tuple(x for x, flag in enumerate(member) if flag)
-    row, count = t3_witness_agrees(M, space, Tangle(6, members), member)
+    row, count = t3_witness_agrees(M, space, Tangle(6, members), member,
+                                   first)
     assert count > 256 and row >= cycflats.core._CHUNK // count
     t3_sweep_past_the_first_block(monkeypatch, M, space, Tangle(6, members),
-                                  member, 5)
+                                  first, 5)
 
 
 def test_t3_witness_on_an_expansion():
