@@ -106,7 +106,7 @@ def build_parser() -> Parser:
 
     p = add("config", "configuration; 'config compare A B' tests "
                       "isomorphism", cmd_config, matroid=False)
-    p.add_argument("args", nargs="+", metavar="ARG",
+    p.add_argument("args", nargs="*", metavar="ARG",
                    help="MATROID, or: compare MATROID MATROID")
 
     p = add("expand", "t-expansion with its block map", cmd_expand)
@@ -183,6 +183,15 @@ def _read_json(path: str) -> dict:
 
 
 def _resolve(spec: Optional[str], args) -> Matroid:
+    """The matroid of a command's one operand: a catalog name or file
+    given as spec, --input FILE or --catalog NAME, and only one of
+    them."""
+    given = [text for text, value in (
+        (repr(spec), spec), ("--input %s" % args.input, args.input),
+        ("--catalog %s" % args.catalog, args.catalog)) if value]
+    if len(given) > 1:
+        raise UsageError("two sources for one matroid: %s"
+                         % " and ".join(given))
     if args.input:
         return from_json_dict(_read_json(args.input))
     if args.catalog:
@@ -199,6 +208,16 @@ def _resolve(spec: Optional[str], args) -> Matroid:
         raise UsageError("%r is neither a catalog name nor a file" % spec)
     raise UsageError("no matroid given: pass a catalog name, a file path, "
                      "--input FILE, or --catalog NAME")
+
+
+def _operands(specs: List[str], args, command: str) -> List[Matroid]:
+    """The matroids of a command of several operands, each a catalog
+    name or file; --input and --catalog name one matroid, so they are
+    refused here."""
+    if args.input or args.catalog:
+        raise UsageError("%s takes its matroids as operands, not --input "
+                         "or --catalog" % command)
+    return [_resolve(spec, args) for spec in specs]
 
 
 def _parse_labels(text: str) -> List[str]:
@@ -274,19 +293,18 @@ def cmd_tutte(args) -> Tuple[int, object]:
 
 
 def cmd_config(args) -> Tuple[int, object]:
-    if args.args[0] == "compare":
+    if args.args[:1] == ["compare"]:
         if len(args.args) != 3:
             raise UsageError("config compare takes exactly two matroids")
-        A = _resolve(args.args[1], args)
-        B = _resolve(args.args[2], args)
+        A, B = _operands(args.args[1:], args, "config compare")
         ok, mapping = config_isomorphic(configuration(A), configuration(B))
         witness = None
         if mapping is not None:
             witness = {str(i): j for i, j in sorted(mapping.items())}
         return (0 if ok else 2), {"isomorphic": ok, "witness": witness}
-    if len(args.args) != 1:
+    if len(args.args) > 1:
         raise UsageError("config takes one matroid, or: compare A B")
-    M = _resolve(args.args[0], args)
+    M = _resolve(args.args[0] if args.args else None, args)
     return 0, configuration(M).to_json_dict()
 
 
@@ -303,7 +321,7 @@ def cmd_deflate(args) -> Tuple[int, object]:
 
 
 def cmd_union(args) -> Tuple[int, object]:
-    members = [_resolve(s, args) for s in args.matroids]
+    members = _operands(args.matroids, args, "union")
     return 0, matroid_union(members).to_json_dict()
 
 

@@ -101,7 +101,8 @@ class OrbitSpace:
         if self.radix2:
             return self.M.rank_table()
         if self._ranks is None:
-            self._ranks = rank_slices(self.M, *self.rows())
+            self._ranks = rank_slices(self.M, *self.rows(), (
+                self.sizes, self.strides, self.masks))
         return self._ranks
 
     def lams(self) -> np.ndarray:

@@ -165,6 +165,56 @@ def test_config_and_compare():
     assert json.loads(out)["isomorphic"] is False
 
 
+def test_config_reads_its_matroid_from_either_flag(tmp_path, capsys):
+    path = tmp_path / "n.json"
+    path.write_text(json.dumps(get("fig2_N").to_json_dict()))
+    outs = []
+    for argv in (["fig2_N"], ["--catalog", "fig2_N"],
+                 ["--input", str(path)]):
+        assert main(["config"] + argv) == 0, argv
+        outs.append(capsys.readouterr().out)
+    assert outs[1:] == outs[:1] * 2
+    assert len(json.loads(outs[0])["nodes"]) == 5
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["tau", "fig1_N", "--catalog", "fig2_N"],
+     ["'fig1_N'", "--catalog fig2_N"]),
+    (["config", "fig1_N", "--catalog", "fig1_N"],
+     ["'fig1_N'", "--catalog fig1_N"]),
+    (["rank", "FILE", "--input", "FILE", "--set", "1"],
+     ["'FILE'", "--input FILE"]),
+    (["tutte", "--input", "FILE", "--catalog", "fig2_N"],
+     ["--input FILE", "--catalog fig2_N"]),
+    (["verify", "--theorem", "tau-scaling", "--matroid", "fig1_N",
+      "--catalog", "fig1_N"], ["'fig1_N'", "--catalog fig1_N"]),
+])
+def test_two_sources_for_one_matroid_are_a_usage_error(argv, named,
+                                                       u24_file, capsys):
+    assert main([u24_file if a == "FILE" else a for a in argv]) == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "two sources for one matroid: %s and %s" % tuple(
+        n.replace("FILE", u24_file) for n in named) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["union", "fig1_N", "fig3_M", "--catalog", "fig2_N"],
+    ["union", "fig1_N", "--input", "FILE"],
+    ["config", "compare", "fig1_M", "fig2_N", "--catalog", "fig1_N"],
+    ["config", "compare", "fig1_M", "fig1_N", "--input", "FILE"],
+])
+def test_commands_of_several_matroids_refuse_the_flags(argv, u24_file,
+                                                       capsys):
+    # --input and --catalog once overrode every operand: union gave
+    # fig2_N with itself and compare called fig1_M and fig2_N isomorphic
+    argv = [u24_file if a == "FILE" else a for a in argv]
+    assert main(argv) == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "takes its matroids as operands" in err
+
+
 @pytest.fixture()
 def cycle_files(tmp_path):
     """The graph families of one 12-cycle and of two 6-cycles of planes,

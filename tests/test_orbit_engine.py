@@ -18,7 +18,7 @@ import cycflats.branchwidth
 import cycflats.core
 import cycflats.invariants
 import cycflats.orbits
-from cycflats import (BudgetExceeded, Tangle, branch_width_exact,
+from cycflats import (BudgetExceeded, Matroid, Tangle, branch_width_exact,
                       decomposition_width, expand, popcount,
                       rank_bounded_family, tutte_connectivity,
                       tutte_polynomial, uniform, validate_axioms,
@@ -771,6 +771,68 @@ def test_clone_free_tangle_checks_keep_their_element_budget():
         verify_tangle(M, Tangle(r + 1, (0, 1, 2, 4)))
     # both refused before a rank table was built
     assert M._table is None
+
+
+def _state_tables(M):
+    """A fresh clonal space of M, its rank table and the (dense, states,
+    terms) split of M's members over its states."""
+    M = Matroid(M.ground, M.zee)
+    space = OrbitSpace(M)
+    return space, space.ranks(), cycflats.core._regions(
+        M, space.count, (space.sizes, space.strides, space.masks))
+
+
+def test_state_tables_match_the_oracles_whichever_members_scatter(
+        monkeypatch):
+    # 2-expansions of seeded random matroids, of their duals (loops and
+    # coloops among them) and of the small catalog entries, with the
+    # region of every member between the least and the greatest listed
+    # (SCATTER 1), of some, or of none
+    seen = Counter()
+    bases = [random_matroid(random.Random(seed), 7) for seed in range(40)]
+    bases += [M.dual() for M in bases]
+    bases += [M for M in map(get, sorted(entries())) if M.ground.n <= 7]
+    for M in bases:
+        X = expand(M, 2)[0]
+        rank = rank_table_oracle(X)
+        for scatter in (1, 8, 1 << 40):
+            monkeypatch.setattr(cycflats.core, "SCATTER", scatter)
+            space, ranks, (dense, _, _) = _state_tables(X)
+            sets = space.sets()
+            assert ranks.tolist() == [rank[x] for x in sets.tolist()]
+            assert np.array_equal(ranks, rank_of_mask_array(X, sets))
+            seen[scatter, "scattered"] += len(X.zee) - len(dense)
+            seen[scatter, "dense"] += len(dense) - min(len(X.zee), 2)
+        seen["loops and coloops"] += bool(X.loops and X.coloops)
+    assert seen["loops and coloops"]
+    for scatter in (1, 8, 1 << 40):
+        assert (seen[scatter, "scattered"] > 0) == (scatter < 1 << 40)
+        assert (seen[scatter, "dense"] > 0) == (scatter > 1)
+
+
+def test_state_regions_are_the_states_where_a_member_beats_both_ends(
+        monkeypatch):
+    # over count vectors: the canonical set of a listed state gives a
+    # term below both ends, and every state whose set does is listed
+    monkeypatch.setattr(cycflats.core, "SCATTER", 1)
+    listed = 0
+    for seed in range(40):
+        M = random_matroid(random.Random(seed), 7)
+        for X in (M, M.dual()):
+            X = expand(X, 2 + seed % 2)[0]
+            space, _, (dense, states, terms) = _state_tables(X)
+            (least, r0), (top, rt) = X.zee[0], X.zee[-1]
+            want = sorted(
+                (x, r + popcount(s & ~a)) for a, r in X.zee[1:-1]
+                for x, s in enumerate(space.sets().tolist())
+                if r + popcount(s & ~a) < min(rt + popcount(s & ~top),
+                                              r0 + popcount(s & ~least)))
+            assert len(dense) == min(len(X.zee), 2)
+            got = [] if states is None else sorted(
+                zip(states.tolist(), terms.tolist()))
+            assert got == want
+            listed += len(got)
+    assert listed > 500
 
 
 def test_sliced_rank_tables_match_the_oracles(monkeypatch):
