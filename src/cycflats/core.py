@@ -13,19 +13,19 @@ rank_slices builds every whole rank table, over the 2^n masks or over
 count-vector states, as uint8: at most 2^TABLE_BUDGET entries, 16 MB.
 With T the greatest member and B0 the least, another member A is below
 r(T) + |X - T| exactly when |(X & T) - A| < r(T) - r(A), and below
-|X - B0| exactly when |(X & A) - B0| > r(A) - r(B0).  Both conditions
-count elements per class, so the states where A can lower the minimum of
-those two terms, its region R_A, are known from the class sizes before
-anything is built.  A member whose region holds at most N / SCATTER of
-the N states is applied there alone, by one np.minimum.at.  T, B0 and
-every other member are applied in row passes: the table is cut into rows
-of about sqrt(_CHUNK) entries along which the high digits are fixed, and
-a member's term over _CHUNK entries is the outer sum of a popcount
-vector of one row's sets and one popcount per row start.  A table of N
-entries thus costs 2N uint8 work for T and B0, 2N more per other member
-applied in passes, and |R_A| per scattered one: on a sparse paving
-matroid every circuit-hyperplane H has R_H = {H}.  Besides the table it
-holds a buffer of at most _CHUNK entries and the popcount vectors.
+|X - B0| exactly when |(X & A) - B0| > r(A) - r(B0), so A can lower the
+minimum of those two terms only where both hold.  Without loops or
+coloops (T = E, B0 = {}) that is the set A alone exactly when A is a
+circuit-hyperplane, and in a table of at least SCATTER entries those
+entries are set directly.  T, B0 and every other member are applied in
+row passes: the table is cut into rows of about sqrt(_CHUNK) entries
+along which the high digits are fixed, and a member's term over _CHUNK
+entries is the outer sum of a popcount vector of one row's sets and one
+popcount per row start.  A table of N entries thus costs 2N uint8 work
+for T and B0, 2N more per other member applied in passes, and one entry
+per circuit-hyperplane set alone: a sparse paving matroid's table is two
+passes.  Besides the table it holds a buffer of at most _CHUNK entries
+and the popcount vectors.
 
 Call A an attaining member for X when r(A) + |X - A| = r(X).  For any
 family of (set, rank) pairs, valid or not, the minimum formula gives
@@ -66,8 +66,6 @@ raise with a witness attached; nothing is silently repaired.
 from __future__ import annotations
 
 import json
-from itertools import accumulate
-from math import comb, prod
 from typing import Iterable, NoReturn, Optional, Sequence
 
 import numpy as np
@@ -84,7 +82,7 @@ from .errors import (
 MAX_GROUND = 62          # bitmask ground-set cap
 TABLE_BUDGET = 24        # entries of one rank table, as a power of two
 _CHUNK = 1 << 16         # entries per vectorized slice or block
-SCATTER = 1 << 13        # regions of at most N / SCATTER states are scattered
+SCATTER = 1 << 13        # tables of fewer states set no member alone
 
 
 def popcount(x: int) -> int:
@@ -211,10 +209,13 @@ class Matroid:
     def rank_table(self, threads: int = 1) -> np.ndarray:
         """Vector of r(X) for every mask X, as uint8, built once."""
         if self._table is None:
-            B = row_length([1 << j for j in range(self.ground.n + 1)])
+            n = self.ground.n
+            bits = [1 << i for i in range(n)]
+            B = row_length(bits + [1 << n])
             self._table = rank_slices(
                 self, np.arange(B, dtype=np.uint64),
-                np.arange(0, 1 << self.ground.n, B, dtype=np.uint64))
+                np.arange(0, 1 << n, B, dtype=np.uint64),
+                ([1] * n, bits, bits))
         return self._table
 
     def lam_table(self, threads: int = 1) -> np.ndarray:
@@ -430,19 +431,20 @@ def row_length(strides: Sequence[int]) -> int:
 
 
 def rank_slices(M: Matroid, low: np.ndarray, high: np.ndarray,
-                classes: Optional[tuple] = None) -> np.ndarray:
+                classes: tuple) -> np.ndarray:
     """The uint8 rank table of the states of a mixed-radix numbering.
 
     classes holds the sizes, strides and masks of the classes of the
-    numbering, three sequences; None stands for the 2^n numbering, in
-    which every element is a class and a state's number is its set.
+    numbering, three sequences; in the 2^n numbering every element is a
+    class of stride 1 << i.
 
     With T the greatest member and B0 the least, another member A is
     below r(T) + |X - T| exactly when |(X & T) - A| < r(T) - r(A), and
     below r(B0) + |X - B0| exactly when |(X & A) - B0| > r(A) - r(B0).
-    A member whose region R_A, the states where both hold (_regions),
-    has at most N / SCATTER of the N states is applied there alone, by
-    one np.minimum.at for all such members.
+    Without loops or coloops (T = E, B0 = {}) the states where both
+    hold are A's own state alone exactly when A is a circuit-hyperplane,
+    r(A) = r(M) - 1 = |A| - 1 (_alone), and there r(A) is the rank.  In
+    a table of at least SCATTER states those entries are set directly.
 
     T, B0 and every other member are applied in row passes.  The table
     is cut into rows of B = low.size states (row_length): low holds the
@@ -455,17 +457,16 @@ def rank_slices(M: Matroid, low: np.ndarray, high: np.ndarray,
     with low_A[i] = r(A) + |low[i] - A| and col_A[j] = |high[j] - A|.
     The vector low_A is computed once per table and col_A for _CHUNK // B
     rows at a time, so a member costs one broadcast add and one minimum
-    over those rows, both uint8.  A table thus costs 2N uint8 work for T
-    and B0, 2N per other member in the passes and |R_A| per member
-    applied alone, plus O(d * (B + N / B)) popcounts for the d members
-    in the passes, with one buffer of at most _CHUNK entries and (d, B)
-    and (d, _CHUNK // B) vectors beside the table.  A table with no
-    member applied alone runs the passes alone.
+    over those rows, both uint8.  A table of N states thus costs 2N
+    uint8 work for T and B0, 2N per other member in the passes and one
+    entry per circuit-hyperplane set alone, plus O(d * (B + N / B))
+    popcounts for the d members in the passes, with one buffer of at
+    most _CHUNK entries and (d, B) and (d, _CHUNK // B) vectors beside
+    the table.  A table with no member set alone runs the passes alone.
     """
     B = low.size
-    dense, states = M.zee, None
-    if B * high.size >= SCATTER:      # else no region is small enough
-        dense, states, terms = _regions(M, B * high.size, classes)
+    alone = _alone(M, B * high.size)
+    dense = [(a, r) for a, r in M.zee if a not in alone] if alone else M.zee
     comp = np.array([M.ground.full & ~a for a, _ in dense],
                     dtype=np.uint64)[:, None]
     ranks = np.array([r for _, r in dense], dtype=np.uint8)[:, None]
@@ -483,114 +484,22 @@ def rank_slices(M: Matroid, low: np.ndarray, high: np.ndarray,
         for col, lo in zip(cols[1:], first[1:]):
             np.add(col, lo, out=tmp)
             np.minimum(part, tmp, out=part)
-    if states is not None:
-        np.minimum.at(table, states, terms)
+    if alone:
+        # the state of A has the full digit on each class inside A
+        sizes, strides, masks = classes
+        inside = (np.array(list(alone), dtype=np.uint64)[:, None]
+                  & np.array(masks, dtype=np.uint64)) != 0
+        table[inside @ np.multiply(sizes, strides)] = M.rank_total - 1
     return table
 
 
-def _regions(M: Matroid, count: int, classes: Optional[tuple]) -> tuple:
-    """(dense, states, terms) for rank_slices over count states: the
-    members to apply in row passes, and the state numbers and terms of
-    the regions of the others (None when there are none).
-
-    A region is the sum of three lists of digit vectors (_below): free,
-    any on the classes in the least member B0 or outside the greatest T;
-    up, over T - A with digit sum below k_up = r(T) - r(A); and down,
-    over A - B0 counted down from the full digits, with sum below k_down
-    = |A - B0| - r(A) + r(B0).  The term of A there is r(A) plus the
-    digits outside T and on T - A.  As k_up <= |T - A| and k_down <=
-    |A - B0|, each side has a vector of every sum below its k, so the
-    size is at least |free| * k_up * k_down; only when that is at most
-    count / SCATTER is the size counted (_count_below), and the region
-    listed when the count is too.  The free list is shared by every
-    member and added by one outer sum.
-    """
-    zee = M.zee
-    limit = count // SCATTER
-    if len(zee) < 3 or not limit:
-        return zee, None, None
-    (least, r0), (top, rt) = zee[0], zee[-1]
-    if least != M.loops or top != M.ground.full & ~M.coloops:
-        return zee, None, None        # not a lattice: no region rule
-    if classes is None:               # the 2^n numbering: a number is a set
-        number = int
-
-        def sizes(mask):
-            return [1] * mask.bit_count()
-
-        def within(mask):
-            return [(1, 1 << i, 1 << i) for i in range(M.ground.n)
-                    if mask >> i & 1]
-    else:
-        classes = list(zip(*classes))
-
-        def number(mask):
-            return sum(s * st for s, st, c in classes if c & mask)
-
-        def sizes(mask):
-            return [s for s, _, c in classes if c & mask]
-
-        def within(mask):
-            return [g for g in classes if g[2] & mask]
-
-    spread = prod(s + 1 for s in sizes(least | M.coloops))   # |free|
-    dense, states, terms = [zee[0]], [], []
-    for a, r in zee[1:-1]:
-        inner, outer = a & ~least, top & ~a
-        k_up, k_down = rt - r, inner.bit_count() - r + r0
-        if spread * k_up * k_down > limit:
-            dense.append((a, r))
-        elif k_up == k_down == 1:     # R_A is free moved by A - B0
-            states.append(number(inner))
-            terms.append(r)
-        elif spread * _count_below(sizes(outer), k_up) * _count_below(
-                sizes(inner), k_down) > limit:
-            dense.append((a, r))
-        else:
-            full, ups = number(inner), _below(within(outer), k_up)
-            for d, _ in _below(within(inner), k_down):
-                states += [full - d + u for u, _ in ups]
-                terms += [r + t for _, t in ups]
-    if len(dense) == len(zee) - 1:
-        return zee, None, None
-    dense.append(zee[-1])
-    every = M.ground.n + 1
-    free_states, free_terms = zip(*[
-        (u + v, t) for u, _ in _below(within(least), every)
-        for v, t in _below(within(M.coloops), every)])
-    return (dense,
-            np.add.outer(np.array(states, dtype=np.intp), free_states).ravel(),
-            np.add.outer(np.array(terms, dtype=np.uint8),
-                         np.array(free_terms, dtype=np.uint8)).ravel())
-
-
-def _count_below(sizes: Sequence[int], k: int) -> int:
-    """The number of digit vectors with digit sum below k, the digit of
-    a class of size s running from 0 to s: binomials C(m, t) for the m
-    one-element classes, then a windowed prefix sum for each larger
-    class."""
-    if k <= 1:
-        return max(k, 0)
-    ways = [comb(sizes.count(1), t) for t in range(k)]     # by digit sum
-    for s in sizes:
-        if s > 1:
-            run = list(accumulate(ways, initial=0))
-            ways = [run[t + 1] - run[max(t - s, 0)] for t in range(k)]
-    return sum(ways)
-
-
-def _below(groups: Sequence[tuple], k: int) -> list:
-    """The (number, digit sum) of each digit vector with digit sum below
-    k over groups, the (size, stride, mask) of some classes.  A vector is
-    grown from one with the same digits before its last nonzero one, so
-    each step of the loop lists a new vector."""
-    out = [(0, 0, 0)] if k > 0 else []     # (number, sum, next class)
-    for v, t, i in out:
-        if t < k - 1:
-            for j, (s, st, _) in enumerate(groups[i:], i + 1):
-                out += [(v + d * st, t + d, j)
-                        for d in range(1, min(s, k - 1 - t) + 1)]
-    return [(v, t) for v, t, _ in out]
+def _alone(M: Matroid, count: int) -> set:
+    """The members that rank_slices sets alone in a table of count
+    states: the circuit-hyperplanes, when M has no loops or coloops and
+    count is at least SCATTER."""
+    if count < SCATTER or M.loops | M.coloops:
+        return set()
+    return {a for a, r in M.zee if a.bit_count() == M.rank_total == r + 1}
 
 
 def lam_of_ranks(ranks: np.ndarray, rank_total: int) -> np.ndarray:

@@ -152,72 +152,71 @@ def test_rank_tables_on_zero_and_one_elements():
 
 
 def _tables(M):
-    """The rank table of a fresh copy of M, and the (dense, states,
-    terms) split of its members."""
-    n = M.ground.n
+    """The rank table of a fresh copy of M and the members it sets
+    alone."""
     M = Matroid(M.ground, M.zee)
-    return M.rank_table(), cycflats.core._regions(M, 1 << n, None)
+    return M.rank_table(), cycflats.core._alone(M, 1 << M.ground.n)
 
 
-@pytest.mark.parametrize("scatter", [1, 64, 1 << 40])
-def test_rank_tables_match_the_oracles_whichever_members_scatter(
+@pytest.mark.parametrize("scatter", [1, 1 << 40])
+def test_rank_tables_match_the_oracles_whichever_members_are_set_alone(
         scatter, monkeypatch):
-    # SCATTER 1 lists the region of every member between the least and
-    # the greatest, 64 of some, 1 << 40 of none
+    # SCATTER 1 sets every circuit-hyperplane of a matroid without loops
+    # or coloops alone, 1 << 40 none
     monkeypatch.setattr(cycflats.core, "SCATTER", scatter)
     seen = Counter()
-    for seed in range(40):
+    for seed in range(60):
         M = random_matroid(random.Random(seed), 11)
         for X in (M, M.dual()):
-            table, (dense, _, _) = _tables(X)
+            table, alone = _tables(X)
             masks = np.arange(1 << X.ground.n, dtype=np.uint64)
             assert table.tolist() == rank_table_oracle(X)
             assert np.array_equal(table, rank_of_mask_array(X, masks))
             seen["loops"] += bool(X.loops)
             seen["coloops"] += bool(X.coloops)
-            seen["scattered"] += len(X.zee) - len(dense)
-            seen["dense"] += len(dense) - min(len(X.zee), 2)
+            seen["alone"] += len(alone)
     assert seen["loops"] and seen["coloops"]
-    assert (seen["scattered"] > 0) == (scatter < 1 << 40)
-    assert (seen["dense"] > 0) == (scatter > 1)
+    assert (seen["alone"] > 0) == (scatter == 1)
 
 
-def test_regions_are_the_sets_where_a_member_beats_both_ends(monkeypatch):
-    # every member between the least B and the greatest T is listed on
-    # exactly the sets X with r(A) + |X - A| below both r(T) + |X - T|
-    # and r(B) + |X - B|, with that term
+def test_members_set_alone_beat_both_ends_on_their_own_set_alone(
+        monkeypatch):
+    # a member between the least B and the greatest T is set alone
+    # exactly when the sets X with r(A) + |X - A| below both
+    # r(T) + |X - T| and r(B) + |X - B| are A alone
     monkeypatch.setattr(cycflats.core, "SCATTER", 1)
-    for seed in range(30):
+    listed = 0
+    for seed in range(60):
         M = random_matroid(random.Random(seed), 9)
-        for X in (M, M.dual()):
-            n = X.ground.n
+        P = paving_with_loop_and_coloop(seed, 9, 3, 6)
+        for X in (M, M.dual(), P, P.delete(P.loops | P.coloops)):
             (least, r0), (top, rt) = X.zee[0], X.zee[-1]
-            want = sorted(
-                (x, r + popcount(x & ~a)) for a, r in X.zee[1:-1]
-                for x in range(1 << n) if r + popcount(x & ~a) < min(
-                    rt + popcount(x & ~top), r0 + popcount(x & ~least)))
-            _, (dense, states, terms) = _tables(X)
-            assert len(dense) == min(len(X.zee), 2)
-            got = [] if states is None else sorted(
-                zip(states.tolist(), terms.tolist()))
-            assert got == want
+            single = {a for a, r in X.zee[1:-1] if [
+                x for x in range(1 << X.ground.n)
+                if r + popcount(x & ~a) < min(rt + popcount(x & ~top),
+                                              r0 + popcount(x & ~least))
+            ] == [a]}
+            assert _tables(X)[1] == single
+            listed += len(single)
+    assert listed >= 200
 
 
-def test_single_member_tables_have_no_regions(monkeypatch):
+def test_single_member_tables_set_nothing_alone(monkeypatch):
     # U(0, n) and U(n, n): the least member is the greatest
     monkeypatch.setattr(cycflats.core, "SCATTER", 1)
     for n in range(7):
         for M in (uniform(0, n), uniform(n, n)):
-            table, (_, states, _) = _tables(M)
-            assert len(M.zee) == 1 and states is None
+            table, alone = _tables(M)
+            assert len(M.zee) == 1 and not alone
             assert table.tolist() == rank_table_oracle(M)
 
 
 @pytest.mark.parametrize("with_ends", [False, True])
 def test_sparse_paving_tables_with_every_member_each_way(with_ends,
                                                          monkeypatch):
-    # a circuit-hyperplane H has the region {H}, widened by any set of
-    # loops and coloops; SCATTER 1 lists every one, 1 << 40 none
+    # without loops and coloops every circuit-hyperplane is set alone at
+    # SCATTER 1 and none at 1 << 40; a loop and a coloop widen each
+    # circuit-hyperplane's sets to four, and every member is in the passes
     n, r = 13, 4
     M = paving_with_loop_and_coloop(5, n, r)
     if not with_ends:
@@ -227,17 +226,12 @@ def test_sparse_paving_tables_with_every_member_each_way(with_ends,
     tables = []
     for scatter in (1, 1 << 40):
         monkeypatch.setattr(cycflats.core, "SCATTER", scatter)
-        table, (dense, states, terms) = _tables(M)
+        table, alone = _tables(M)
         assert np.array_equal(table, rank_of_mask_array(M, masks))
-        assert len(dense) == (2 if scatter == 1 else len(M.zee))
         tables.append(table)
-        if scatter == 1:
-            ends = M.loops | M.coloops
-            want = sorted((h & ~M.loops | y, rh + popcount(y & M.coloops))
-                          for h, rh in M.zee[1:-1] for y in range(1 << n)
-                          if not y & ~ends)
-            assert sorted(zip(states.tolist(), terms.tolist())) == want
-            assert len(want) == (len(M.zee) - 2) * 4 ** with_ends
+        assert alone == ({h for h, _ in M.zee[1:-1]}
+                         if scatter == 1 and not with_ends else set())
+    assert len(M.zee) == 30
     assert np.array_equal(*tables)
 
 

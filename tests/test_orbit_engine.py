@@ -25,7 +25,7 @@ from cycflats import (BudgetExceeded, Matroid, Tangle, branch_width_exact,
                       verify_tangle, vertical_connectivity)
 from cycflats.branchwidth import _bottom_up, _tangle_bound, _tangle_first
 from cycflats.catalog import entries, get
-from cycflats.core import from_json_dict, rank_of_mask_array
+from cycflats.core import from_json_dict, rank_of_mask_array, refined
 from cycflats.orbits import OrbitSpace, clonal_space
 from cycflats.verify import random_matroid
 
@@ -773,66 +773,67 @@ def test_clone_free_tangle_checks_keep_their_element_budget():
     assert M._table is None
 
 
-def _state_tables(M):
-    """A fresh clonal space of M, its rank table and the (dense, states,
-    terms) split of M's members over its states."""
+def _state_tables(M, classes=None):
+    """A fresh space of M over classes, by default its clonal classes,
+    its rank table and the members that table sets alone."""
     M = Matroid(M.ground, M.zee)
-    space = OrbitSpace(M)
-    return space, space.ranks(), cycflats.core._regions(
-        M, space.count, (space.sizes, space.strides, space.masks))
+    space = OrbitSpace(M, classes)
+    return space, space.ranks(), cycflats.core._alone(M, space.count)
 
 
-def test_state_tables_match_the_oracles_whichever_members_scatter(
-        monkeypatch):
-    # 2-expansions of seeded random matroids, of their duals (loops and
-    # coloops among them) and of the small catalog entries, with the
-    # region of every member between the least and the greatest listed
-    # (SCATTER 1), of some, or of none
-    seen = Counter()
-    bases = [random_matroid(random.Random(seed), 7) for seed in range(40)]
+def _state_cases(seeds, t):
+    """t-expansions of seeded random matroids and of their duals, over
+    their clonal classes, and the draws themselves over the coarsest
+    classes of which every cyclic flat is a union."""
+    bases = [random_matroid(random.Random(seed), 7) for seed in seeds]
     bases += [M.dual() for M in bases]
-    bases += [M for M in map(get, sorted(entries())) if M.ground.n <= 7]
-    for M in bases:
-        X = expand(M, 2)[0]
+    return [(expand(M, t)[0], None) for M in bases] + [
+        (M, refined(M.ground, [a for a, _ in M.zee])) for M in bases]
+
+
+def test_state_tables_match_the_oracles_whichever_members_are_set_alone(
+        monkeypatch):
+    # with every circuit-hyperplane of a matroid without loops or
+    # coloops set alone (SCATTER 1) or none; the small catalog entries
+    # are expanded too
+    seen = Counter()
+    cases = _state_cases(range(40), 2) + [
+        (expand(M, 2)[0], None) for M in map(get, sorted(entries()))
+        if M.ground.n <= 7]
+    for X, classes in cases:
         rank = rank_table_oracle(X)
-        for scatter in (1, 8, 1 << 40):
+        for scatter in (1, 1 << 40):
             monkeypatch.setattr(cycflats.core, "SCATTER", scatter)
-            space, ranks, (dense, _, _) = _state_tables(X)
+            space, ranks, alone = _state_tables(X, classes)
             sets = space.sets()
             assert ranks.tolist() == [rank[x] for x in sets.tolist()]
             assert np.array_equal(ranks, rank_of_mask_array(X, sets))
-            seen[scatter, "scattered"] += len(X.zee) - len(dense)
-            seen[scatter, "dense"] += len(dense) - min(len(X.zee), 2)
+            seen[scatter] += 0 if space.radix2 else len(alone)
         seen["loops and coloops"] += bool(X.loops and X.coloops)
     assert seen["loops and coloops"]
-    for scatter in (1, 8, 1 << 40):
-        assert (seen[scatter, "scattered"] > 0) == (scatter < 1 << 40)
-        assert (seen[scatter, "dense"] > 0) == (scatter > 1)
+    assert seen[1] and not seen[1 << 40]
 
 
-def test_state_regions_are_the_states_where_a_member_beats_both_ends(
+def test_members_set_alone_beat_both_ends_on_their_own_state_alone(
         monkeypatch):
-    # over count vectors: the canonical set of a listed state gives a
-    # term below both ends, and every state whose set does is listed
+    # over count vectors: a member between the least B and the greatest
+    # T is set alone exactly when A's canonical state is the only one
+    # whose set X has r(A) + |X - A| below r(T) + |X - T| and
+    # r(B) + |X - B|
     monkeypatch.setattr(cycflats.core, "SCATTER", 1)
     listed = 0
-    for seed in range(40):
-        M = random_matroid(random.Random(seed), 7)
-        for X in (M, M.dual()):
-            X = expand(X, 2 + seed % 2)[0]
-            space, _, (dense, states, terms) = _state_tables(X)
-            (least, r0), (top, rt) = X.zee[0], X.zee[-1]
-            want = sorted(
-                (x, r + popcount(s & ~a)) for a, r in X.zee[1:-1]
-                for x, s in enumerate(space.sets().tolist())
-                if r + popcount(s & ~a) < min(rt + popcount(s & ~top),
-                                              r0 + popcount(s & ~least)))
-            assert len(dense) == min(len(X.zee), 2)
-            got = [] if states is None else sorted(
-                zip(states.tolist(), terms.tolist()))
-            assert got == want
-            listed += len(got)
-    assert listed > 500
+    for X, classes in _state_cases(range(40), 3):
+        space, _, alone = _state_tables(X, classes)
+        (least, r0), (top, rt) = X.zee[0], X.zee[-1]
+        sets = space.sets().tolist()
+        single = {a for a, r in X.zee[1:-1] if [
+            s for s in sets
+            if r + popcount(s & ~a) < min(rt + popcount(s & ~top),
+                                          r0 + popcount(s & ~least))
+        ] == [a]}
+        assert alone == single
+        listed += 0 if space.radix2 else len(single)
+    assert listed >= 5
 
 
 def test_sliced_rank_tables_match_the_oracles(monkeypatch):
