@@ -699,19 +699,14 @@ def _t3_pair(space: OrbitSpace, memb: np.ndarray, below: bool, least: int
     max(0, s - x - y) lies in a member; None when there is none.
 
     The dense number of a state is outer*(s_c+1)*st + x_c*st + inner, so
-    axis 1 of each reshaped view is the count x_c.  The one-byte flags
-    are read as words of up to 8 that divide st, so that a short stride
-    still gives numpy long runs; & ~ and | keep each byte 0 or 1.  A
-    rank-below family is closed under subsets, so its superset table is
-    the member table itself.
+    axis 1 of each reshaped view is the count x_c.  A rank-below family
+    is closed under subsets, so its superset table is the member table
+    itself.
     """
     mx = memb.copy()
     sup = memb if below else memb.copy()
     for s, st in zip(space.sizes, space.strides):
-        word = np.dtype("u%d" % min(8, st & -st))
-        shape = (-1, s + 1, st // word.itemsize)
-        member, top, up = (a.view(word).reshape(shape)
-                           for a in (memb, mx, sup))
+        member, top, up = (a.reshape(-1, s + 1, st) for a in (memb, mx, sup))
         top[:, :-1] &= ~member[:, 1:]
         if not below:
             for d in range(s - 1, -1, -1):

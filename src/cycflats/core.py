@@ -16,16 +16,16 @@ r(T) + |X - T| exactly when |(X & T) - A| < r(T) - r(A), and below
 |X - B0| exactly when |(X & A) - B0| > r(A) - r(B0), so A can lower the
 minimum of those two terms only where both hold.  Without loops or
 coloops (T = E, B0 = {}) that is the set A alone exactly when A is a
-circuit-hyperplane, and in a table of at least SCATTER entries those
-entries are set directly.  T, B0 and every other member are applied in
-row passes: the table is cut into rows of about sqrt(_CHUNK) entries
-along which the high digits are fixed, and a member's term over _CHUNK
-entries is the outer sum of a popcount vector of one row's sets and one
-popcount per row start.  A table of N entries thus costs 2N uint8 work
-for T and B0, 2N more per other member applied in passes, and one entry
-per circuit-hyperplane set alone: a sparse paving matroid's table is two
-passes.  Besides the table it holds a buffer of at most _CHUNK entries
-and the popcount vectors.
+circuit-hyperplane, r(A) = r(M) - 1 = |A| - 1, and rank_slices sets
+that entry to r(A) directly (_alone).  T, B0 and every other member are
+applied in row passes: the table is cut into rows of about sqrt(_CHUNK)
+entries along which the high digits are fixed, and a member's term over
+_CHUNK entries is the outer sum of a popcount vector of one row's sets
+and one popcount per row start.  A table of N entries thus costs 2N
+uint8 work for T and B0, 2N more per other member applied in passes,
+and one entry per circuit-hyperplane set alone: a sparse paving
+matroid's table is two passes.  Besides the table it holds a buffer of
+at most _CHUNK entries and the popcount vectors.
 
 Call A an attaining member for X when r(A) + |X - A| = r(X).  For any
 family of (set, rank) pairs, valid or not, the minimum formula gives
@@ -82,7 +82,6 @@ from .errors import (
 MAX_GROUND = 62          # bitmask ground-set cap
 TABLE_BUDGET = 24        # entries of one rank table, as a power of two
 _CHUNK = 1 << 16         # entries per vectorized slice or block
-SCATTER = 1 << 13        # tables of fewer states set no member alone
 
 
 def popcount(x: int) -> int:
@@ -210,12 +209,10 @@ class Matroid:
         """Vector of r(X) for every mask X, as uint8, built once."""
         if self._table is None:
             n = self.ground.n
-            bits = [1 << i for i in range(n)]
-            B = row_length(bits + [1 << n])
+            B = row_length([1 << i for i in range(n + 1)])
             self._table = rank_slices(
                 self, np.arange(B, dtype=np.uint64),
-                np.arange(0, 1 << n, B, dtype=np.uint64),
-                ([1] * n, bits, bits))
+                np.arange(0, 1 << n, B, dtype=np.uint64), int)
         return self._table
 
     def lam_table(self, threads: int = 1) -> np.ndarray:
@@ -266,6 +263,8 @@ class Matroid:
         which lie in every cyclic flat, so the deletion runs on the same
         ground set and both sets are dropped at the end.
         """
+        if (dmask | cmask) & ~self.ground.full:
+            raise ValueError("minor of a set outside the ground set")
         M = self
         if cmask:
             base = self.rank(cmask)
@@ -379,6 +378,8 @@ class Matroid:
         return Matroid(ground, self.zee)
 
     def restriction(self, mask: int):
+        if mask & ~self.ground.full:
+            raise ValueError("restriction to a set outside the ground set")
         return self.delete(self.ground.full & ~mask)
 
     def to_json_dict(self) -> dict:
@@ -431,26 +432,17 @@ def row_length(strides: Sequence[int]) -> int:
 
 
 def rank_slices(M: Matroid, low: np.ndarray, high: np.ndarray,
-                classes: tuple) -> np.ndarray:
-    """The uint8 rank table of the states of a mixed-radix numbering.
+                number) -> np.ndarray:
+    """The uint8 rank table of the states of a numbering, with number
+    mapping a set (an int mask) to its state: int for the 2^n masks,
+    OrbitSpace.index_of for count vectors.
 
-    classes holds the sizes, strides and masks of the classes of the
-    numbering, three sequences; in the 2^n numbering every element is a
-    class of stride 1 << i.
-
-    With T the greatest member and B0 the least, another member A is
-    below r(T) + |X - T| exactly when |(X & T) - A| < r(T) - r(A), and
-    below r(B0) + |X - B0| exactly when |(X & A) - B0| > r(A) - r(B0).
-    Without loops or coloops (T = E, B0 = {}) the states where both
-    hold are A's own state alone exactly when A is a circuit-hyperplane,
-    r(A) = r(M) - 1 = |A| - 1 (_alone), and there r(A) is the rank.  In
-    a table of at least SCATTER states those entries are set directly.
-
-    T, B0 and every other member are applied in row passes.  The table
-    is cut into rows of B = low.size states (row_length): low holds the
-    uint64 sets of the states of row 0 and high those of the row
-    starts, so state j*B + i has the set low[i] | high[j].  For a member
-    A in the passes
+    The members of _alone are set directly at their own states; T, B0
+    and every other member are applied in row passes (module
+    docstring).  The table is cut into rows of B = low.size states
+    (row_length): low holds the uint64 sets of the states of row 0 and
+    high those of the row starts, so state j*B + i has the set
+    low[i] | high[j].  For a member A in the passes
 
         r(A) + |X - A| = low_A[i] + col_A[j],
 
@@ -459,13 +451,12 @@ def rank_slices(M: Matroid, low: np.ndarray, high: np.ndarray,
     rows at a time, so a member costs one broadcast add and one minimum
     over those rows, both uint8.  A table of N states thus costs 2N
     uint8 work for T and B0, 2N per other member in the passes and one
-    entry per circuit-hyperplane set alone, plus O(d * (B + N / B))
-    popcounts for the d members in the passes, with one buffer of at
-    most _CHUNK entries and (d, B) and (d, _CHUNK // B) vectors beside
-    the table.  A table with no member set alone runs the passes alone.
+    entry per member set alone, plus O(d * (B + N / B)) popcounts for
+    the d members in the passes, with one buffer of at most _CHUNK
+    entries and (d, B) and (d, _CHUNK // B) vectors beside the table.
     """
     B = low.size
-    alone = _alone(M, B * high.size)
+    alone = _alone(M)
     dense = [(a, r) for a, r in M.zee if a not in alone] if alone else M.zee
     comp = np.array([M.ground.full & ~a for a, _ in dense],
                     dtype=np.uint64)[:, None]
@@ -484,20 +475,15 @@ def rank_slices(M: Matroid, low: np.ndarray, high: np.ndarray,
         for col, lo in zip(cols[1:], first[1:]):
             np.add(col, lo, out=tmp)
             np.minimum(part, tmp, out=part)
-    if alone:
-        # the state of A has the full digit on each class inside A
-        sizes, strides, masks = classes
-        inside = (np.array(list(alone), dtype=np.uint64)[:, None]
-                  & np.array(masks, dtype=np.uint64)) != 0
-        table[inside @ np.multiply(sizes, strides)] = M.rank_total - 1
+    for a in alone:
+        table[number(a)] = M.rank_total - 1
     return table
 
 
-def _alone(M: Matroid, count: int) -> set:
-    """The members that rank_slices sets alone in a table of count
-    states: the circuit-hyperplanes, when M has no loops or coloops and
-    count is at least SCATTER."""
-    if count < SCATTER or M.loops | M.coloops:
+def _alone(M: Matroid) -> set:
+    """The members that rank_slices sets alone: the circuit-hyperplanes,
+    when M has no loops or coloops."""
+    if M.loops | M.coloops:
         return set()
     return {a for a, r in M.zee if a.bit_count() == M.rank_total == r + 1}
 

@@ -101,8 +101,7 @@ class OrbitSpace:
         if self.radix2:
             return self.M.rank_table()
         if self._ranks is None:
-            self._ranks = rank_slices(self.M, *self.rows(), (
-                self.sizes, self.strides, self.masks))
+            self._ranks = rank_slices(self.M, *self.rows(), self.index_of)
         return self._ranks
 
     def lams(self) -> np.ndarray:
@@ -148,8 +147,6 @@ class OrbitSpace:
         first x_c elements of each class), as uint64 masks.  Among the
         sets of a state it is the smallest mask.  Without index, the
         sets of all states in dense order."""
-        if index is not None and self.radix2:
-            return index.astype(np.uint64)     # the number is the mask
         low, high = self.rows()
         if index is None:
             return np.bitwise_or.outer(high, low).ravel()

@@ -155,17 +155,17 @@ def _tables(M):
     """The rank table of a fresh copy of M and the members it sets
     alone."""
     M = Matroid(M.ground, M.zee)
-    return M.rank_table(), cycflats.core._alone(M, 1 << M.ground.n)
+    return M.rank_table(), cycflats.core._alone(M)
 
 
-@pytest.mark.parametrize("scatter", [1, 1 << 40])
+@pytest.mark.parametrize("first_seed", [1, 1 << 40])
 def test_rank_tables_match_the_oracles_whichever_members_are_set_alone(
-        scatter, monkeypatch):
-    # SCATTER 1 sets every circuit-hyperplane of a matroid without loops
-    # or coloops alone, 1 << 40 none
-    monkeypatch.setattr(cycflats.core, "SCATTER", scatter)
+        first_seed):
+    # every circuit-hyperplane of a matroid without loops or coloops is
+    # set alone, and none of a matroid with either; two disjoint families
+    # of 60 seeded draws each
     seen = Counter()
-    for seed in range(60):
+    for seed in range(first_seed, first_seed + 60):
         M = random_matroid(random.Random(seed), 11)
         for X in (M, M.dual()):
             table, alone = _tables(X)
@@ -175,16 +175,14 @@ def test_rank_tables_match_the_oracles_whichever_members_are_set_alone(
             seen["loops"] += bool(X.loops)
             seen["coloops"] += bool(X.coloops)
             seen["alone"] += len(alone)
-    assert seen["loops"] and seen["coloops"]
-    assert (seen["alone"] > 0) == (scatter == 1)
+            assert not (alone and X.loops | X.coloops)
+    assert seen["loops"] and seen["coloops"] and seen["alone"]
 
 
-def test_members_set_alone_beat_both_ends_on_their_own_set_alone(
-        monkeypatch):
+def test_members_set_alone_beat_both_ends_on_their_own_set_alone():
     # a member between the least B and the greatest T is set alone
     # exactly when the sets X with r(A) + |X - A| below both
     # r(T) + |X - T| and r(B) + |X - B| are A alone
-    monkeypatch.setattr(cycflats.core, "SCATTER", 1)
     listed = 0
     for seed in range(60):
         M = random_matroid(random.Random(seed), 9)
@@ -201,9 +199,8 @@ def test_members_set_alone_beat_both_ends_on_their_own_set_alone(
     assert listed >= 200
 
 
-def test_single_member_tables_set_nothing_alone(monkeypatch):
+def test_single_member_tables_set_nothing_alone():
     # U(0, n) and U(n, n): the least member is the greatest
-    monkeypatch.setattr(cycflats.core, "SCATTER", 1)
     for n in range(7):
         for M in (uniform(0, n), uniform(n, n)):
             table, alone = _tables(M)
@@ -212,27 +209,46 @@ def test_single_member_tables_set_nothing_alone(monkeypatch):
 
 
 @pytest.mark.parametrize("with_ends", [False, True])
-def test_sparse_paving_tables_with_every_member_each_way(with_ends,
-                                                         monkeypatch):
-    # without loops and coloops every circuit-hyperplane is set alone at
-    # SCATTER 1 and none at 1 << 40; a loop and a coloop widen each
-    # circuit-hyperplane's sets to four, and every member is in the passes
+def test_sparse_paving_tables_with_every_member_each_way(with_ends):
+    # without loops and coloops every circuit-hyperplane is set alone; a
+    # loop and a coloop widen each circuit-hyperplane's sets to four,
+    # and every member is in the passes
     n, r = 13, 4
     M = paving_with_loop_and_coloop(5, n, r)
     if not with_ends:
         M = M.delete(M.loops | M.coloops)
         n -= 2
+    table, alone = _tables(M)
     masks = np.arange(1 << n, dtype=np.uint64)
-    tables = []
-    for scatter in (1, 1 << 40):
-        monkeypatch.setattr(cycflats.core, "SCATTER", scatter)
-        table, alone = _tables(M)
-        assert np.array_equal(table, rank_of_mask_array(M, masks))
-        tables.append(table)
-        assert alone == ({h for h, _ in M.zee[1:-1]}
-                         if scatter == 1 and not with_ends else set())
+    assert np.array_equal(table, rank_of_mask_array(M, masks))
+    assert table.tolist() == rank_table_oracle(M)
+    assert alone == (set() if with_ends else {h for h, _ in M.zee[1:-1]})
     assert len(M.zee) == 30
-    assert np.array_equal(*tables)
+
+
+def test_small_tables_set_their_circuit_hyperplanes_alone():
+    # a 2^12 table of the shape of the benchmark's smallest sparse
+    # paving matroid (n = 12, r = 3, 12 circuit-hyperplanes) and fig2_M's
+    # 2^9 table: however small the table, its circuit-hyperplanes are
+    # set alone
+    P = paving_with_loop_and_coloop(3, 14, 3, 12)
+    for M, k in ((P.delete(P.loops | P.coloops), 12), (get("fig2_M"), 3)):
+        table, alone = _tables(M)
+        assert table.size < 8192
+        assert alone == {a for a, _ in M.zee[1:-1]} and len(alone) == k
+        assert table.tolist() == rank_table_oracle(M)
+
+
+def test_minors_refuse_sets_outside_the_ground_set():
+    M = uniform(2, 4)
+    stray = 1 << 10
+    for build in (lambda: M.delete(stray), lambda: M.contract(stray),
+                  lambda: M.minor(stray, 1), lambda: M.minor(1, stray | 2),
+                  lambda: M.restriction(stray | 3), lambda: M.delete(-1)):
+        with pytest.raises(ValueError):
+            build()
+    assert M.restriction(3).equals(uniform(2, 2, ["1", "2"]))
+    assert M.contract(1).equals(uniform(1, 3, ["2", "3", "4"]))
 
 
 def test_rank_is_min_over_cyclic_sets_and_superfamilies():

@@ -778,7 +778,7 @@ def _state_tables(M, classes=None):
     its rank table and the members that table sets alone."""
     M = Matroid(M.ground, M.zee)
     space = OrbitSpace(M, classes)
-    return space, space.ranks(), cycflats.core._alone(M, space.count)
+    return space, space.ranks(), cycflats.core._alone(M)
 
 
 def _state_cases(seeds, t):
@@ -791,36 +791,30 @@ def _state_cases(seeds, t):
         (M, refined(M.ground, [a for a, _ in M.zee])) for M in bases]
 
 
-def test_state_tables_match_the_oracles_whichever_members_are_set_alone(
-        monkeypatch):
-    # with every circuit-hyperplane of a matroid without loops or
-    # coloops set alone (SCATTER 1) or none; the small catalog entries
-    # are expanded too
+def test_state_tables_match_the_oracles_whichever_members_are_set_alone():
+    # every circuit-hyperplane of a matroid without loops or coloops is
+    # set alone at its own state; the small catalog entries are
+    # expanded too
     seen = Counter()
     cases = _state_cases(range(40), 2) + [
         (expand(M, 2)[0], None) for M in map(get, sorted(entries()))
         if M.ground.n <= 7]
     for X, classes in cases:
         rank = rank_table_oracle(X)
-        for scatter in (1, 1 << 40):
-            monkeypatch.setattr(cycflats.core, "SCATTER", scatter)
-            space, ranks, alone = _state_tables(X, classes)
-            sets = space.sets()
-            assert ranks.tolist() == [rank[x] for x in sets.tolist()]
-            assert np.array_equal(ranks, rank_of_mask_array(X, sets))
-            seen[scatter] += 0 if space.radix2 else len(alone)
+        space, ranks, alone = _state_tables(X, classes)
+        sets = space.sets()
+        assert ranks.tolist() == [rank[x] for x in sets.tolist()]
+        assert np.array_equal(ranks, rank_of_mask_array(X, sets))
+        seen["alone"] += 0 if space.radix2 else len(alone)
         seen["loops and coloops"] += bool(X.loops and X.coloops)
-    assert seen["loops and coloops"]
-    assert seen[1] and not seen[1 << 40]
+    assert seen["loops and coloops"] and seen["alone"]
 
 
-def test_members_set_alone_beat_both_ends_on_their_own_state_alone(
-        monkeypatch):
+def test_members_set_alone_beat_both_ends_on_their_own_state_alone():
     # over count vectors: a member between the least B and the greatest
     # T is set alone exactly when A's canonical state is the only one
     # whose set X has r(A) + |X - A| below r(T) + |X - T| and
     # r(B) + |X - B|
-    monkeypatch.setattr(cycflats.core, "SCATTER", 1)
     listed = 0
     for X, classes in _state_cases(range(40), 3):
         space, _, alone = _state_tables(X, classes)
