@@ -74,7 +74,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import _CHUNK, GroundSet, Matroid, popcount
+from .core import _CHUNK, GroundSet, Matroid, _json_list, popcount
 from .errors import (
     BudgetExceeded,
     InvalidTangle,
@@ -115,8 +115,12 @@ class BranchDecomposition:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "BranchDecomposition":
         try:
-            return cls.build(obj["vertices"],
-                             [tuple(e) for e in obj["edges"]],
+            edges = _json_list(obj, "edges")
+            if not all(isinstance(e, list) and len(e) == 2 for e in edges):
+                raise TypeError("each edge must be a list of two vertices")
+            if not isinstance(obj["leaf_labels"], dict):
+                raise TypeError("'leaf_labels' must be an object")
+            return cls.build(_json_list(obj, "vertices"), edges,
                              obj["leaf_labels"])
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise MalformedTree("malformed decomposition JSON: %s" % exc)

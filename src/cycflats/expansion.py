@@ -7,17 +7,22 @@ undoes the construction; matroid_union realizes
 
     r(X) = min { sum_i r_i(Y) + |X - Y| : Y subseteq X }
 
-on count vectors: elements that are clones in every member are clones in
-the union, so one min-plus sweep per class axis over the prod(s_c + 1)
-states of the common classes (orbits.OrbitSpace) computes it, and no 2^n
-table is built.  expand_via_union rebuilds M^t as a union of
-parallel-extended copies of a decomposition of M.
+on the unions of the common classes of its members (elements in the
+same cyclic flats of every member).  Permuting elements within a class
+changes no member's rank, so it fixes the largest minimising Y, which
+is therefore a union of classes whenever X is: on class unions the
+minimum runs over class unions alone.  By the same symmetry one element
+of an absent class c raises r(X) exactly when all of c does, and one
+element of a present class c is a coloop of X exactly when all of c is,
+that is when r(X - c) = r(X) - |c|.  So 2^k ranks over k classes
+decide every cyclic flat, and no 2^n table is built.  expand_via_union
+rebuilds M^t as a union of parallel-extended copies of a decomposition
+of M.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,7 +43,7 @@ from .errors import (
     MatroidError,
     NotATExpansion,
 )
-from .orbits import OrbitSpace, check_states
+from .orbits import check_states
 
 
 @dataclass(frozen=True)
@@ -197,14 +202,9 @@ def _aligned(M: Matroid, ground: GroundSet) -> Matroid:
 
 def matroid_union(members: Sequence[Matroid],
                   ground: Optional[GroundSet] = None) -> Matroid:
-    """Union of matroids on a common ground set.
-
-    Over the count vectors of the common clonal classes, the union's rank
-    is sum_i r_i swept by g[d] = min(g[d], g[d-1] + 1), ascending d, along
-    each class axis.  A union of classes is a flat when one more element
-    of any absent class raises g, and cyclic when one element fewer of
-    any present class keeps it.
-    """
+    """Union of matroids on a common ground set, read off the 2^k unions
+    of the k common classes (index bit c = class c): g = sum_i r_i takes
+    g[X] = min(g[X], g[X - c] + |c|) for each class c in X, in turn."""
     members = list(members)
     if ground is None:
         if not members:
@@ -213,30 +213,24 @@ def matroid_union(members: Sequence[Matroid],
     # no members: the union is the rank-0 matroid, all loops
     aligned = ([_aligned(Mi, ground) for Mi in members]
                or [Matroid(ground, [(ground.full, 0)])])
-    space = OrbitSpace(aligned[0], refined(
-        ground, [a for Mi in aligned for a, _ in Mi.zee]))
-    check_states(space.count, "union")
-    sets = space.sets()
-    g = np.zeros(space.count, dtype=np.int64)   # uint8 ranks, summed wide
+    parts = refined(ground, [a for Mi in aligned for a, _ in Mi.zee])
+    check_states(1 << len(parts), "union")
+    sets = np.zeros(1, dtype=np.uint64)
+    for p in parts:
+        sets = np.concatenate([sets, sets | np.uint64(p)])
+    g = np.zeros(sets.size, dtype=np.int64)     # uint8 ranks, summed wide
     for Mi in aligned:
         g += rank_of_mask_array(Mi, sets)
-    # dense order is mixed radix with class 0 fastest: its axis is last
-    cube = g.reshape([s + 1 for s in reversed(space.sizes)])
-    for c, s in enumerate(space.sizes):
-        axis = np.moveaxis(cube, cube.ndim - 1 - c, 0)
-        for d in range(1, s + 1):
-            axis[d] = np.minimum(axis[d], axis[d - 1] + 1)
-    idx = np.zeros(1, dtype=np.int64)      # the all-or-nothing states
-    for s, st in zip(space.sizes, space.strides):
-        idx = np.concatenate([idx, idx + s * st])
-    ok = np.ones(idx.size, dtype=bool)
-    for s, st in zip(space.sizes, space.strides):
-        present = idx // st % (s + 1) == s
-        step = g[np.where(present, idx - st, idx + st)]
-        ok &= np.where(present, step == g[idx], step > g[idx])
-    zee = [(int(a), int(r))
-           for a, r in zip(space.sets(idx[ok]), g[idx[ok]])]
-    return validate_axioms(zee, ground)
+    for c, p in enumerate(parts):
+        v = g.reshape(-1, 2, 1 << c)            # v[:, 1]: the unions with c
+        np.minimum(v[:, 1], v[:, 0] + popcount(p), out=v[:, 1])
+    ok = np.ones(sets.size, dtype=bool)     # flat and cyclic, class by class
+    for c, p in enumerate(parts):
+        v, o = g.reshape(-1, 2, 1 << c), ok.reshape(-1, 2, 1 << c)
+        o[:, 0] &= v[:, 1] > v[:, 0]
+        o[:, 1] &= v[:, 1] - v[:, 0] < popcount(p)
+    return validate_axioms([(int(a), int(r)) for a, r in zip(sets[ok], g[ok])],
+                           ground)
 
 
 def _parallel_extension(Mi: Matroid, emap: ExpansionMap) -> Matroid:
@@ -264,8 +258,8 @@ def expand_via_union(M: Matroid, members: Sequence[Matroid],
     Each member contributes t copies of its parallel extension (the
     member itself when t = 1).  The clonal classes of an extension are
     S_c for the classes c of elements with one closure, which fixes the
-    union's states before any flat is listed.  The result is checked
-    against expand(M, t).
+    union's 2^k class unions before any flat is listed.  The result is
+    checked against expand(M, t).
     """
     U = matroid_union(members, ground=M.ground)
     if not U.equals(M):
@@ -278,7 +272,7 @@ def expand_via_union(M: Matroid, members: Sequence[Matroid],
     else:
         parts = refined(M.ground, [Mi.closure(1 << i) for Mi in members
                                     for i in range(M.ground.n)])
-        check_states(prod(t * popcount(c) + 1 for c in parts), "union")
+        check_states(1 << len(parts), "union")
         exp_members = [_parallel_extension(Mi, emap) for Mi in members]
     R = matroid_union([Mexp for Mexp in exp_members for _ in range(t)],
                       ground=emap.exp_ground)

@@ -20,7 +20,7 @@ every table below is the plain 2^n table.  x -> s - x reverses the
 numbering, just as reversing a 2^n table pairs each mask with its
 complement.
 
-Scans over many states (tau/kappa, tangle checks, unions) stop above
+Scans over many states (tau/kappa, tangle checks) stop above
 2^STATE_BUDGET states; check_states is that one check.  A state number
 is split once, as x = j*B + i at a stride B (core.row_length), and its
 set is low[i] | high[j]: OrbitSpace.rows keeps the sets of the states of
@@ -142,14 +142,11 @@ class OrbitSpace:
                 counts *= binom[np.bitwise_count(sets & np.uint64(m))]
         return counts[:low.size], counts[low.size:]
 
-    def sets(self, index: Optional[np.ndarray] = None) -> np.ndarray:
+    def sets(self, index: np.ndarray) -> np.ndarray:
         """The canonical set of each dense state number in index (the
         first x_c elements of each class), as uint64 masks.  Among the
-        sets of a state it is the smallest mask.  Without index, the
-        sets of all states in dense order."""
+        sets of a state it is the smallest mask."""
         low, high = self.rows()
-        if index is None:
-            return np.bitwise_or.outer(high, low).ravel()
         j, i = np.divmod(index, low.size)
         return high[j] | low[i]
 

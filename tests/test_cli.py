@@ -346,6 +346,29 @@ def test_bw_certify_rejects_a_non_tree(tmp_path, u24_file):
     assert "not connected" in err
 
 
+@pytest.mark.parametrize("strings", [("vertices",), ("edges",),
+                                     ("vertices", "edges")])
+def test_bw_certify_rejects_strings_for_lists(tmp_path, strings):
+    # the three-lines tree with one-letter vertex ids, so "ABC..." would
+    # read as the vertex list and "AB" as an edge
+    tree = three_lines_tree().to_json_dict()
+    letter = {v: chr(ord("A") + i) for i, v in enumerate(tree["vertices"])}
+    doc = {"vertices": [letter[v] for v in tree["vertices"]],
+           "edges": [[letter[a], letter[b]] for a, b in tree["edges"]],
+           "leaf_labels": {k: letter[v]
+                           for k, v in tree["leaf_labels"].items()}}
+    if "vertices" in strings:
+        doc["vertices"] = "".join(doc["vertices"])
+    if "edges" in strings:
+        doc["edges"] = ["".join(e) for e in doc["edges"]]
+    deco = tmp_path / "letters.json"
+    deco.write_text(json.dumps(doc))
+    code, out, err = run_cli("bw", "--certify", "fig2_M", "--upper",
+                             str(deco), "--lower", "rank-lt:2:3")
+    assert (code, out) == (1, "")
+    assert "malformed decomposition JSON" in err
+
+
 def test_tangle_verify_command():
     d = run_json("tangle", "verify", "fig2_M", "--family", "rank-lt:2",
                  "--order", "3")

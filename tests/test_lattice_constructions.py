@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from cycflats import (BudgetExceeded, GroundSet, Matroid, Presentation,
                       expand, expand_via_union, matroid_union,
-                      presentation_matroid, validate_axioms)
+                      presentation_matroid, uniform, validate_axioms)
 from cycflats.catalog import get, names
 from cycflats.classes import rank_one
 from cycflats.verify import random_matroid
@@ -227,17 +227,26 @@ def test_clone_free_union_budget_is_two_to_the_twenty_states(monkeypatch):
     with pytest.raises(BudgetExceeded):
         presentation_matroid(Presentation(ground, tuple(
             1 << i for i in range(21))))
-    # 13 doubled singletons: 3^13 states, refused before any flat is listed
-    small = GroundSet([str(i + 1) for i in range(13)])
-    members = [rank_one(small, 1 << i) for i in range(13)]
-    M = matroid_union(members)
+    # U(2, 21) is one class, but its parallel extension splits it into
+    # 21 closure classes: 2^21 class unions, refused before any flat is
+    # listed
+    U = uniform(2, 21)
 
     def listed(Mi, emap):
         raise AssertionError("flats listed before the state budget")
 
     monkeypatch.setattr(cycflats.expansion, "_parallel_extension", listed)
     with pytest.raises(BudgetExceeded):
-        expand_via_union(M, members, 2)
+        expand_via_union(U, [U], 2)
+
+
+def test_clone_rich_unions_run_on_their_class_unions():
+    # 13 doubled singletons: 3^13 count vectors, but 2^13 class unions
+    small = GroundSet([str(i + 1) for i in range(13)])
+    members = [rank_one(small, 1 << i) for i in range(13)]
+    M = matroid_union(members)
+    assert M.rank_total == 13
+    assert expand_via_union(M, members, 2).equals(expand(M, 2)[0])
 
 
 @st.composite

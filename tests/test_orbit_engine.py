@@ -802,7 +802,7 @@ def test_state_tables_match_the_oracles_whichever_members_are_set_alone():
     for X, classes in cases:
         rank = rank_table_oracle(X)
         space, ranks, alone = _state_tables(X, classes)
-        sets = space.sets()
+        sets = space.sets(np.arange(space.count))
         assert ranks.tolist() == [rank[x] for x in sets.tolist()]
         assert np.array_equal(ranks, rank_of_mask_array(X, sets))
         seen["alone"] += 0 if space.radix2 else len(alone)
@@ -819,7 +819,7 @@ def test_members_set_alone_beat_both_ends_on_their_own_state_alone():
     for X, classes in _state_cases(range(40), 3):
         space, _, alone = _state_tables(X, classes)
         (least, r0), (top, rt) = X.zee[0], X.zee[-1]
-        sets = space.sets().tolist()
+        sets = space.sets(np.arange(space.count)).tolist()
         single = {a for a, r in X.zee[1:-1] if [
             s for s in sets
             if r + popcount(s & ~a) < min(rt + popcount(s & ~top),
