@@ -2,13 +2,18 @@
 
 The Tutte polynomial is computed by the corank-nullity sum over all
 subsets, T(M;x,y) = sum_A (x-1)^(r(M)-r(A)) (y-1)^(|A|-r(A)), collected
-into a (corank, nullity) histogram and then expanded into x,y
-coefficients with exact big integers.  Corank and nullity depend only on
-the count vector of A over the clonal classes, so the histogram reads
-the state rank table of orbits.clonal_space (at most 2^24 states, the
-one table budget) in the row passes of core.rank_slices, each state
-sized and weighted by its prod C(s_c, x_c) sets from two row vectors
-(OrbitSpace.rows, row_counts), in exact int64 (the counts reach 2^62).
+into a (corank, nullity) histogram H and then expanded into x,y
+coefficients by two matrix products, C = P^T H P, with P[a, i] =
+C(a, i)(-1)^(a-i) the coefficients of (x-1)^a (SHIFT).  Corank and
+nullity depend only on the count vector of A over the clonal classes, so
+the histogram reads the state rank table of orbits.clonal_space (at most
+2^24 states, the one table budget) in the row passes of
+core.rank_slices, each state sized and weighted by its prod C(s_c, x_c)
+sets from two row vectors (OrbitSpace.rows, row_counts), in exact int64
+(the counts reach 2^62).  The products run in uint64, whose wraparound
+is well defined, so C is exact mod 2^64 however far the intermediate
+sums go past it.  The residue is c_ij itself: every c_ij is >= 0 and
+sum c_ij 2^(i+j) = T(2, 2) = 2^n, so c_ij lies in [0, 2^n], n <= 62.
 
 The configuration of a coloop-free matroid is its unlabeled lattice of
 cyclic flats decorated with each flat's size and rank; it determines the
@@ -26,16 +31,23 @@ it raises BudgetExceeded: search stays exponential in the worst case
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .core import _CHUNK, Matroid, popcount
+from .core import _CHUNK, MAX_GROUND, Matroid, popcount
 from .errors import BudgetExceeded, HasColoops, MatroidError
 from .orbits import clonal_space
 
 ISO_BUDGET = 1 << 20      # search nodes of config_isomorphic
+
+# SHIFT[a, i] = C(a, i)(-1)^(a-i) mod 2^64: row a is row a-1 shifted
+# right, minus row a-1, as (x-1)^a = x(x-1)^(a-1) - (x-1)^(a-1)
+SHIFT = np.zeros((MAX_GROUND + 1, MAX_GROUND + 1), dtype=np.uint64)
+SHIFT[0, 0] = 1
+for _a in range(1, MAX_GROUND + 1):
+    SHIFT[_a, 1:] = SHIFT[_a - 1, :-1]
+    SHIFT[_a] -= SHIFT[_a - 1]
 
 
 class TuttePolynomial:
@@ -108,18 +120,11 @@ def tutte_polynomial(M: Matroid, threads: int = 1) -> TuttePolynomial:
         # np.add.at is several times faster on flat arrays
         np.add.at(hist, key.ravel(), np.multiply.outer(
             counts_high[part], counts_low).ravel())
-    coeffs: Dict[Tuple[int, int], int] = {}
-    for a in range(R + 1):
-        for b in range(nullmax + 1):
-            cnt = int(hist[a * (nullmax + 1) + b])
-            if cnt == 0:
-                continue
-            # (x-1)^a (y-1)^b expanded with binomials
-            for i in range(a + 1):
-                ci = comb(a, i) * (-1) ** (a - i)
-                for j in range(b + 1):
-                    cj = comb(b, j) * (-1) ** (b - j)
-                    coeffs[i, j] = coeffs.get((i, j), 0) + cnt * ci * cj
+    # exact mod 2^64, hence exact: see the module docstring
+    grid = hist.view(np.uint64).reshape(R + 1, nullmax + 1)
+    grid = SHIFT[:R + 1, :R + 1].T @ grid @ SHIFT[:nullmax + 1, :nullmax + 1]
+    i, j = np.nonzero(grid)
+    coeffs = dict(zip(zip(i.tolist(), j.tolist()), grid[i, j].tolist()))
     T = TuttePolynomial(coeffs)
     if any(c < 0 for c in T.coeffs.values()) or T.evaluate(2, 2) != 1 << n:
         raise MatroidError("internal check failed: Tutte coefficients "

@@ -45,7 +45,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Matroid, lam_of_ranks, popcount, rank_slices, row_length
+from .core import (Matroid, lam_of_ranks, popcount, rank_slices, refined,
+                   row_length)
 from .errors import BudgetExceeded
 
 STATE_BUDGET = 20      # states of one scan, as a power of two
@@ -62,14 +63,15 @@ def check_states(count: int, what: str):
 class OrbitSpace:
     """The count-vector states of M over a partition of its ground set.
 
-    classes: masks partitioning the ground set, by default
-    M.clonal_classes().  Every cyclic flat must be a union of classes;
-    the singleton partition always qualifies.
+    classes: masks partitioning the ground set, by default the clonal
+    classes, which no cyclic flat splits, in any order: they are sorted
+    here.  Every cyclic flat must be a union of classes; the singleton
+    partition always qualifies.
     """
 
     def __init__(self, M: Matroid, classes: Optional[Sequence[int]] = None):
         if classes is None:
-            classes = M.clonal_classes()
+            classes = refined(M.ground, [a for a, _ in M.zee])
         n = M.ground.n
         members = [[i for i in range(n) if c >> i & 1] for c in classes]
         members.sort(key=lambda els: (len(els) > 1, els[0]))

@@ -3,6 +3,7 @@ import random
 from collections import Counter
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 import cycflats.invariants
@@ -103,6 +104,62 @@ def test_big_uniform_basis_count_uses_exact_integers():
     t = tutte_polynomial(uniform(9, 18))
     assert t.evaluate(1, 1) == math.comb(18, 9)
     assert t.evaluate(2, 2) == 1 << 18
+
+
+def test_uniform_on_62_elements_has_the_closed_form():
+    # the terms cnt * C(a, i) * C(b, j) of the expansion reach 2^92
+    # (r = 62), so the uint64 products wrap many times over
+    n = 62
+    for r in range(n + 1):
+        if r == 0 or r == n:
+            want = {(0, n) if r == 0 else (n, 0): 1}
+        else:
+            want = {(i, 0): math.comb(n - i - 1, r - i)
+                    for i in range(1, r + 1)}
+            want.update({(0, j): math.comb(n - j - 1, r - 1)
+                         for j in range(1, n - r + 1)})
+        assert _terms(tutte_polynomial(uniform(r, n))) == want, r
+
+
+def test_shift_rows_are_the_powers_of_x_minus_one():
+    shift = cycflats.invariants.SHIFT
+    assert shift.shape == (63, 63)
+    poly = [1]
+    for a in range(63):
+        assert shift[a].view(np.int64).tolist() == poly + [0] * (62 - a)
+        # times (x - 1), in Python integers
+        poly = [(poly[i - 1] if i else 0) - (poly[i] if i < a + 1 else 0)
+                for i in range(a + 2)]
+
+
+def histogram_tutte(M):
+    """T(M) from a (corank, nullity) histogram of the oracle's 2^n
+    ranks, expanded term by term with Python integers."""
+    rank = rank_table_oracle(M)
+    n = M.ground.n
+    total = rank[-1]
+    hist = Counter((total - rank[a], popcount(a) - rank[a])
+                   for a in range(1 << n))
+    out = Counter()
+    for (a, b), cnt in hist.items():
+        for i in range(a + 1):
+            for j in range(b + 1):
+                out[i, j] += (cnt * math.comb(a, i) * math.comb(b, j)
+                              * (-1) ** (a - i + b - j))
+    return {k: v for k, v in out.items() if v}
+
+
+def test_coefficients_match_an_expanded_oracle_histogram():
+    rng = random.Random(2025)
+    seen = Counter()
+    for _ in range(60):
+        M = random_matroid(rng, 10)
+        if M.ground.n <= 5 and rng.random() < 0.5:
+            M = expand(M, 2)[0]
+        seen["loops"] += bool(M.loops)
+        seen["coloops"] += bool(M.coloops)
+        assert _terms(tutte_polynomial(M)) == histogram_tutte(M)
+    assert seen["loops"] >= 5 and seen["coloops"] >= 5
 
 
 def test_tutte_json_round_trip():

@@ -219,6 +219,20 @@ def test_states_carry_rank_and_lambda(seed):
         assert popcount(x) == popcount(y) and rank[y] == rank[x]
 
 
+def test_default_classes_give_the_clonal_layout():
+    rng = random.Random(2026)
+    for _ in range(40):
+        base = random_matroid(rng, 7)
+        for t in (1, 2, 3):
+            M = expand(base, t)[0] if t > 1 else base
+            classes = M.clonal_classes()
+            shuffled = rng.sample(classes, len(classes))
+            spaces = [OrbitSpace(M), OrbitSpace(M, classes),
+                      OrbitSpace(M, shuffled)]
+            assert len({(repr(s.members), tuple(s.strides), s.count)
+                        for s in spaces}) == 1
+
+
 def fano():
     lines = ["124", "235", "346", "457", "156", "267", "137"]
     return validate_axioms([((), 0)] + [(set(ln), 2) for ln in lines]
