@@ -77,9 +77,7 @@ def _scan(M: Matroid, qualifier: str):
     check_states(space.count, "connectivity scan")
     lam = space.lams()
     if qualifier == "size":
-        low, high = space.rows()
-        sizes = np.add.outer(np.bitwise_count(high),
-                             np.bitwise_count(low)).ravel()
+        sizes = space.set_sizes()
         bound = np.minimum(sizes, n - sizes)
     else:
         ranks = space.ranks()

@@ -1,19 +1,17 @@
 """Enumerative invariants: Tutte polynomial and configurations.
 
-The Tutte polynomial is computed by the corank-nullity sum over all
-subsets, T(M;x,y) = sum_A (x-1)^(r(M)-r(A)) (y-1)^(|A|-r(A)), collected
-into a (corank, nullity) histogram H and then expanded into x,y
-coefficients by two matrix products, C = P^T H P, with P[a, i] =
-C(a, i)(-1)^(a-i) the coefficients of (x-1)^a (SHIFT).  Corank and
-nullity depend only on the count vector of A over the clonal classes, so
-the histogram reads the state rank table of orbits.clonal_space (at most
-2^24 states, the one table budget) in the row passes of
-core.rank_slices, each state sized and weighted by its prod C(s_c, x_c)
-sets from two row vectors (OrbitSpace.rows, row_counts), in exact int64
-(the counts reach 2^62).  The products run in uint64, whose wraparound
-is well defined, so C is exact mod 2^64 however far the intermediate
-sums go past it.  The residue is c_ij itself: every c_ij is >= 0 and
-sum c_ij 2^(i+j) = T(2, 2) = 2^n, so c_ij lies in [0, 2^n], n <= 62.
+The Tutte polynomial is the corank-nullity sum over all subsets,
+T(M;x,y) = sum_A (x-1)^(r(M)-r(A)) (y-1)^(|A|-r(A)), a change of
+variables of the rank-size profile H[r, k] of OrbitSpace.profile() on
+orbits.clonal_space (at most 2^24 states, the one table budget): H[r, k]
+moves to (corank, nullity) = (r(M) - r, k - r), and two matrix products,
+C = P^T H P with P[a, i] = C(a, i)(-1)^(a-i) the coefficients of
+(x-1)^a (SHIFT), expand it into x,y coefficients.  The products run in
+uint64, whose wraparound is well defined, so C is exact mod 2^64 however
+far the intermediate sums go past it.  The residue is c_ij itself: every
+c_ij is >= 0 and sum c_ij 2^(i+j) = T(2, 2) = 2^n, so c_ij lies in
+[0, 2^n], n <= 62.  That sum is the internal check: a profile short of
+2^n sets, or a negative c_ij wrapped to a residue near 2^64, breaks it.
 
 The configuration of a coloop-free matroid is its unlabeled lattice of
 cyclic flats decorated with each flat's size and rank; it determines the
@@ -35,7 +33,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .core import _CHUNK, MAX_GROUND, Matroid, popcount
+from .core import MAX_GROUND, Matroid, popcount
 from .errors import BudgetExceeded, HasColoops, MatroidError
 from .orbits import clonal_space
 
@@ -96,40 +94,22 @@ class TuttePolynomial:
 
 
 def tutte_polynomial(M: Matroid, threads: int = 1) -> TuttePolynomial:
-    """Exact Tutte polynomial from the corank-nullity histogram of the
+    """Exact Tutte polynomial from the rank-size profile of the
     count-vector states."""
     n = M.ground.n
-    space = clonal_space(M)
-    table = space.ranks()
     R = M.rank_total
-    nullmax = n - R
-    hist = np.zeros((R + 1) * (nullmax + 1), dtype=np.int64)
-    # state j*B + i: size and number of sets from row 0's state i and
-    # row start j, in the row passes of rank_slices
-    low, high = space.rows()
-    sizes_low, sizes_high = np.bitwise_count(low), np.bitwise_count(high)
-    counts_low, counts_high = space.row_counts()
-    rows = table.reshape(-1, low.size)
-    step = max(1, _CHUNK // low.size)
-    for start in range(0, len(rows), step):
-        part = slice(start, start + step)
-        key = np.subtract(R, rows[part], dtype=np.int16)
-        key *= nullmax + 1
-        key += np.add.outer(sizes_high[part], sizes_low)
-        key -= rows[part]
-        # np.add.at is several times faster on flat arrays
-        np.add.at(hist, key.ravel(), np.multiply.outer(
-            counts_high[part], counts_low).ravel())
+    hist = clonal_space(M).profile()
+    # H[r, k] to (corank, nullity) = (R - r, k - r): k - r <= n - R
+    r = np.arange(R, -1, -1)[:, None]
+    grid = hist[r, r + np.arange(n - R + 1)].view(np.uint64)
     # exact mod 2^64, hence exact: see the module docstring
-    grid = hist.view(np.uint64).reshape(R + 1, nullmax + 1)
-    grid = SHIFT[:R + 1, :R + 1].T @ grid @ SHIFT[:nullmax + 1, :nullmax + 1]
+    grid = SHIFT[:R + 1, :R + 1].T @ grid @ SHIFT[:n - R + 1, :n - R + 1]
     i, j = np.nonzero(grid)
     coeffs = dict(zip(zip(i.tolist(), j.tolist()), grid[i, j].tolist()))
-    T = TuttePolynomial(coeffs)
-    if any(c < 0 for c in T.coeffs.values()) or T.evaluate(2, 2) != 1 << n:
+    if sum(c << (a + b) for (a, b), c in coeffs.items()) != 1 << n:
         raise MatroidError("internal check failed: Tutte coefficients "
-                           "inconsistent")
-    return T
+                           "do not sum to T(2, 2) = 2^n")
+    return TuttePolynomial(coeffs)
 
 
 @dataclass(frozen=True)

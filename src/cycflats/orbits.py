@@ -25,10 +25,15 @@ Scans over many states (tau/kappa, tangle checks) stop above
 is split once, as x = j*B + i at a stride B (core.row_length), and its
 set is low[i] | high[j]: OrbitSpace.rows keeps the sets of the states of
 row 0 and of the row starts.  Sizes and numbers of sets combine two such
-vectors too, so no state is decoded digit by digit.
+vectors too, so no state is decoded digit by digit: set_sizes() is |x|
+for every state, and profile() is H[r, k], the number of subsets of
+rank r and k elements.  It walks the rank table in the row passes of
+core.rank_slices and weights each state by its prod C(s_c, x_c) sets,
+in exact int64 (the counts reach 2^62); the Tutte polynomial is a
+change of variables of H.
 
 clonal_space(M) keeps one space per matroid, so the tau/kappa scan, the
-Tutte histogram, the branch-width DP and the tangle checks of M share
+Tutte profile, the branch-width DP and the tangle checks of M share
 one uint8 state rank table, built by core.rank_slices; without clones
 it is the cached M.rank_table().  The int16 lambda table is kept next
 to it, built once per space and read-only, so the scans, the tangle
@@ -45,8 +50,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (Matroid, lam_of_ranks, popcount, rank_slices, refined,
-                   row_length)
+from .core import (_CHUNK, Matroid, lam_of_ranks, popcount, rank_slices,
+                   refined, row_length)
 from .errors import BudgetExceeded
 
 STATE_BUDGET = 20      # states of one scan, as a power of two
@@ -132,9 +137,16 @@ class OrbitSpace:
                           np.array(high, dtype=np.uint64))
         return self._rows
 
-    def row_counts(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Like rows(), the numbers of sets prod C(s_c, x_c), as int64:
-        state j*B + i stands for low[i] * high[j] sets."""
+    def set_sizes(self) -> np.ndarray:
+        """|x| for every state, in dense order: the size of each of its
+        sets, from two popcounts of the row vectors."""
+        low, high = self.rows()
+        return np.add.outer(np.bitwise_count(high),
+                            np.bitwise_count(low)).ravel()
+
+    def profile(self) -> np.ndarray:
+        """H[r, k], the number of subsets of E with rank r and k
+        elements, as int64, by the row walk of the module docstring."""
         low, high = self.rows()
         sets = np.concatenate([low, high])
         counts = np.ones(sets.size, dtype=np.int64)
@@ -142,7 +154,20 @@ class OrbitSpace:
             if s > 1:            # x_c is the size of the set within c
                 binom = np.array([comb(s, d) for d in range(s + 1)])
                 counts *= binom[np.bitwise_count(sets & np.uint64(m))]
-        return counts[:low.size], counts[low.size:]
+        counts_low, counts_high = counts[:low.size], counts[low.size:]
+        sizes_low, sizes_high = np.bitwise_count(low), np.bitwise_count(high)
+        n = self.M.ground.n
+        hist = np.zeros((self.M.rank_total + 1) * (n + 1), dtype=np.int64)
+        rows = self.ranks().reshape(-1, low.size)
+        step = max(1, _CHUNK // low.size)
+        for start in range(0, len(rows), step):
+            part = slice(start, start + step)
+            key = np.multiply(rows[part], n + 1, dtype=np.int16)
+            key += np.add.outer(sizes_high[part], sizes_low)
+            # np.add.at is several times faster on flat arrays
+            np.add.at(hist, key.ravel(), np.multiply.outer(
+                counts_high[part], counts_low).ravel())
+        return hist.reshape(-1, n + 1)
 
     def sets(self, index: np.ndarray) -> np.ndarray:
         """The canonical set of each dense state number in index (the

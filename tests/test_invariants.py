@@ -10,6 +10,7 @@ import cycflats.invariants
 from cycflats import (
     Configuration,
     HasColoops,
+    MatroidError,
     Tangle,
     TuttePolynomial,
     branch_width_certified,
@@ -31,6 +32,7 @@ from cycflats import (
     vertical_connectivity,
 )
 from cycflats.catalog import entries, get, three_lines_tree
+from cycflats.orbits import OrbitSpace
 
 from oracles import (basis_count_oracle, config_isomorphic_oracle,
                      cycle_pair, graph_family, rank_table_oracle,
@@ -160,6 +162,20 @@ def test_coefficients_match_an_expanded_oracle_histogram():
         seen["coloops"] += bool(M.coloops)
         assert _terms(tutte_polynomial(M)) == histogram_tutte(M)
     assert seen["loops"] >= 5 and seen["coloops"] >= 5
+
+
+def test_the_internal_check_catches_a_dropped_subset(monkeypatch):
+    profile = OrbitSpace.profile
+
+    def dropped(space):
+        H = profile(space)
+        H[0, 0] -= 1             # lose the empty set
+        return H
+
+    M = get("fig1_N")
+    monkeypatch.setattr(OrbitSpace, "profile", dropped)
+    with pytest.raises(MatroidError, match="internal check"):
+        tutte_polynomial(M)
 
 
 def test_tutte_json_round_trip():

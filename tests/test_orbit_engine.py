@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 import cycflats.branchwidth
 import cycflats.core
-import cycflats.invariants
 import cycflats.orbits
 from cycflats import (BudgetExceeded, Matroid, Tangle, branch_width_exact,
                       decomposition_width, expand, popcount,
@@ -849,7 +848,7 @@ def test_sliced_rank_tables_match_the_oracles(monkeypatch):
     # and state counts above 2^3, where the sets still come from the
     # same row split, low[i] | high[j]
     monkeypatch.setattr(cycflats.core, "_CHUNK", 7)
-    monkeypatch.setattr(cycflats.invariants, "_CHUNK", 7)
+    monkeypatch.setattr(cycflats.orbits, "_CHUNK", 7)
     monkeypatch.setattr(cycflats.orbits, "STATE_BUDGET", 3)
     n, r = 10, 3
     F = sparse_paving(n, r, packing(combinations(range(n), r), r))
@@ -916,7 +915,7 @@ def test_tutte_histogram_over_two_passes_matches_a_plain_loop():
     space = OrbitSpace(M)
     B = space.rows()[0].size
     assert space.count == 5 ** 7 and B == 625
-    assert space.count > (cycflats.invariants._CHUNK // B) * B
+    assert space.count > (cycflats.orbits._CHUNK // B) * B
     # clones lie in the same cyclic flats, so the classes come from zee
     classes = {}
     for e in range(M.ground.n):
@@ -964,3 +963,51 @@ def test_rank_tables_stop_at_the_table_budget():
     with pytest.raises(BudgetExceeded):
         M.rank_table()
     assert M._table is None
+
+
+def profile_oracle(M):
+    """H[r, k] counted over the oracle's 2^n ranks."""
+    n = M.ground.n
+    hist = np.zeros((M.rank_total + 1, n + 1), dtype=np.int64)
+    for x, r in enumerate(rank_table_oracle(M)):
+        hist[r, popcount(x)] += 1
+    return hist
+
+
+def test_profile_counts_the_subsets_by_rank_and_size():
+    rng = random.Random(26)
+    seen = Counter()
+    for _ in range(200):
+        M = random_matroid(rng, 10)
+        cases = [M] + [expand(M, t)[0] for t in (2, 3)
+                       if t * M.ground.n <= 12]
+        for X in cases:
+            seen["loops"] += bool(X.loops)
+            seen["coloops"] += bool(X.coloops)
+            seen["expanded"] += X is not M
+            H = OrbitSpace(X).profile()
+            assert H.dtype == np.int64
+            assert np.array_equal(H, profile_oracle(X))
+            assert H.sum() == 1 << X.ground.n
+    assert min(seen.values()) >= 20, seen
+
+
+def test_uniform_profiles_on_62_elements_are_binomials():
+    # a set of k elements has rank min(k, r); C(62, 31) ~ 4.7e17
+    n = 62
+    for r in range(n + 1):
+        H = OrbitSpace(uniform(r, n)).profile()
+        want = np.zeros((r + 1, n + 1), dtype=np.int64)
+        for k in range(n + 1):
+            want[min(k, r), k] = comb(n, k)
+        assert np.array_equal(H, want), r
+        assert int(H.sum()) == 1 << n
+
+
+def test_paired_expansions_have_one_profile():
+    # the paper's pairs share a configuration, hence these counts
+    for a, b, t in (("fig1_M", "fig1_N", 10), ("fig2_M", "fig2_N", 6)):
+        Ha = OrbitSpace(expand(get(a), t)[0]).profile()
+        Hb = OrbitSpace(expand(get(b), t)[0]).profile()
+        assert np.array_equal(Ha, Hb)
+        assert int(Ha.sum()) == 1 << (t * get(a).ground.n)
