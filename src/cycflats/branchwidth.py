@@ -255,11 +255,11 @@ def _bottom_up(M: Matroid, floor: int = 0
                ) -> Tuple[int, BranchDecomposition]:
     """The DP g_F with F = floor, which is bw(M) for any floor <= bw(M)."""
     n = M.ground.n
-    labels = M.ground.labels
-    if n == 0:
-        return 0, BranchDecomposition.build([], [], {})
-    if n == 1:
-        return 1, BranchDecomposition.build(["v0"], [], {labels[0]: "v0"})
+    if n <= 1:
+        tree = _Tree("v")
+        for lab in M.ground.labels:
+            tree.vertex(lab)
+        return n, tree.build()
     space = clonal_space(M)
     lam = space.lams().tolist()
     g = [0] * space.count
@@ -305,7 +305,7 @@ def _bottom_up(M: Matroid, floor: int = 0
                     break
         g[x] = best if bestc and best > lx else lx
         split[x] = bestc
-    return g[-1], _tree(M, space, split)
+    return g[-1], _tree(space, split)
 
 
 def _wide(space: OrbitSpace) -> List[Tuple[int, int]]:
@@ -344,35 +344,30 @@ def _splits(x: int, lo: int, wide) -> Iterator[Tuple[int, int]]:
         yield sub, c
 
 
-def _tree(M: Matroid, space: OrbitSpace, split) -> BranchDecomposition:
+def _tree(space: OrbitSpace, split) -> BranchDecomposition:
     """The decomposition of the stored splits from the full state down
     (n >= 2)."""
-    ids = _Ids("v")
-    edges: List[Tuple[str, str]] = []
-    leaf_labels: Dict[str, str] = {}
+    tree = _Tree("v")
     full = space.count - 1
+    E = space.M.ground.full
     top = split[full]
-    T = space.take(top, M.ground.full)
-    grow = (space, split, M.ground.labels, ids, edges, leaf_labels)
-    a = _grow(grow, top, T)
-    b = _grow(grow, full - top, M.ground.full & ~T)
-    edges.append((a, b))
-    return BranchDecomposition.build(ids.vertices, edges, leaf_labels)
+    T = space.take(top, E)
+    tree.join(_grow(tree, space, split, top, T),
+              _grow(tree, space, split, full - top, E & ~T))
+    return tree.build()
 
 
-def _grow(tree, x: int, X: int) -> str:
+def _grow(tree: _Tree, space: OrbitSpace, split, x: int, X: int) -> str:
     """Subtree for state x from the stored splits; X is a concrete set
     with the counts of x, and each split hands its first part the first
     elements of every class."""
-    space, split, labels, ids, edges, leaf_labels = tree
-    v = ids.fresh()
     c = split[x]
     if not c:
-        leaf_labels[labels[X.bit_length() - 1]] = v
-        return v
+        return tree.vertex(space.M.ground.labels[X.bit_length() - 1])
+    v = tree.vertex()
     C = space.take(c, X)
-    edges.append((v, _grow(tree, c, C)))
-    edges.append((v, _grow(tree, x - c, X & ~C)))
+    tree.join(v, _grow(tree, space, split, c, C))
+    tree.join(v, _grow(tree, space, split, x - c, X & ~C))
     return v
 
 
@@ -386,7 +381,7 @@ def _tangle_first(M: Matroid, budget: int = DP_BUDGET
     L = _tangle_bound(M)
     d = _Decision(space, space.lams().tolist(), L, budget)
     if d.builds(space.count - 1):
-        return L, _tree(M, space, d.split)
+        return L, _tree(space, d.split)
     check_split_pairs(M, budget)
     return _bottom_up(M, L + 1)
 
@@ -459,65 +454,66 @@ class _Decision:
 
 # -- decomposition builders --------------------------------------------------
 
-class _Ids:
+class _Tree:
+    """A branch decomposition being written: fresh vertex ids prefix + count
+    in creation order, the edges and the label map."""
+
     def __init__(self, prefix: str = "t"):
-        self.n = 0
         self.prefix = prefix
+        self.count = 0
         self.vertices: List[str] = []
+        self.edges: List[Tuple[str, str]] = []
+        self.leaf_labels: Dict[str, str] = {}
 
-    def fresh(self) -> str:
-        v = "%s%d" % (self.prefix, self.n)
-        self.n += 1
+    def vertex(self, label: Optional[str] = None) -> str:
+        """A fresh vertex, the leaf of `label` when one is given."""
+        v = "%s%d" % (self.prefix, self.count)
+        self.count += 1
         self.vertices.append(v)
+        if label is not None:
+            self.leaf_labels[label] = v
         return v
 
+    def join(self, a: str, b: str):
+        self.edges.append((a, b))
 
-def _caterpillar(ids: _Ids, labs: Sequence[str], edges, leaf_labels,
-                 head: Optional[str] = None) -> str:
-    """Attachable caterpillar holding labs; returns its root vertex.
+    def caterpillar(self, labs: Sequence[str], head: Optional[str] = None
+                    ) -> str:
+        """Attachable caterpillar holding labs; returns its root vertex.
 
-    The root has degree 2 inside the caterpillar when |labs| >= 2 (so it
-    needs one more edge from the caller) and is the bare leaf when
-    |labs| == 1.  With |labs| >= 2 an existing vertex `head` can serve as
-    the root instead of a fresh one.
-    """
-    if len(labs) == 1:
-        v = ids.fresh()
-        leaf_labels[labs[0]] = v
-        return v
-    spine = [ids.fresh() if head is None else head]
-    spine += [ids.fresh() for _ in range(len(labs) - 2)]
-    for i in range(len(spine) - 1):
-        edges.append((spine[i], spine[i + 1]))
-    for i, s in enumerate(spine):
-        leaf = ids.fresh()
-        leaf_labels[labs[i]] = leaf
-        edges.append((s, leaf))
-    last_leaf = ids.fresh()
-    leaf_labels[labs[-1]] = last_leaf
-    edges.append((spine[-1], last_leaf))
-    return spine[0]
+        The root has degree 2 inside the caterpillar when |labs| >= 2 (so
+        it needs one more edge from the caller) and is the bare leaf when
+        |labs| == 1.  With |labs| >= 2 an existing vertex `head` can serve
+        as the root instead of a fresh one.
+        """
+        if len(labs) == 1:
+            return self.vertex(labs[0])
+        spine = [self.vertex() if head is None else head]
+        spine += [self.vertex() for _ in labs[2:]]
+        for a, b in zip(spine, spine[1:]):
+            self.join(a, b)
+        # the last spine vertex carries the last two leaves
+        for s, lab in zip(spine + spine[-1:], labs):
+            self.join(s, self.vertex(lab))
+        return spine[0]
+
+    def build(self) -> BranchDecomposition:
+        return BranchDecomposition.build(self.vertices, self.edges,
+                                         self.leaf_labels)
 
 
 def caterpillar_decomposition(labels: Sequence[str]) -> BranchDecomposition:
     """A path-shaped decomposition with the labels in the given order."""
     labels = [str(x) for x in labels]
-    ids = _Ids()
-    edges: List[Tuple[str, str]] = []
-    leaf_labels: Dict[str, str] = {}
-    if not labels:
-        return BranchDecomposition.build([], [], {})
+    tree = _Tree()
     if len(labels) <= 2:
-        for lab in labels:
-            leaf_labels[lab] = ids.fresh()
-        if len(labels) == 2:
-            edges.append((ids.vertices[0], ids.vertices[1]))
-        return BranchDecomposition.build(ids.vertices, edges, leaf_labels)
-    root = _caterpillar(ids, labels[1:], edges, leaf_labels)
-    first = ids.fresh()
-    leaf_labels[labels[0]] = first
-    edges.append((first, root))
-    return BranchDecomposition.build(ids.vertices, edges, leaf_labels)
+        ends = [tree.vertex(lab) for lab in labels]
+        if len(ends) == 2:
+            tree.join(*ends)
+    else:
+        root = tree.caterpillar(labels[1:])
+        tree.join(tree.vertex(labels[0]), root)
+    return tree.build()
 
 
 def fan_decomposition(groups: Sequence[Sequence[str]]) -> BranchDecomposition:
@@ -526,14 +522,11 @@ def fan_decomposition(groups: Sequence[Sequence[str]]) -> BranchDecomposition:
     if len(groups) != 3:
         raise ValueError("fan decomposition needs exactly three nonempty "
                          "groups")
-    ids = _Ids()
-    edges: List[Tuple[str, str]] = []
-    leaf_labels: Dict[str, str] = {}
-    center = ids.fresh()
+    tree = _Tree()
+    center = tree.vertex()
     for grp in groups:
-        root = _caterpillar(ids, grp, edges, leaf_labels)
-        edges.append((center, root))
-    return BranchDecomposition.build(ids.vertices, edges, leaf_labels)
+        tree.join(center, tree.caterpillar(grp))
+    return tree.build()
 
 
 def expand_decomposition(D: BranchDecomposition, emap: ExpansionMap
@@ -552,18 +545,15 @@ def expand_decomposition(D: BranchDecomposition, emap: ExpansionMap
         return D
     if base.n == 1:
         return caterpillar_decomposition(emap.blocks[base.labels[0]])
-    vertices = list(adj)
-    edges = [(p, v) for v, p in _walk(adj)[1:]]
     prefix = "x"
-    while any(v.startswith(prefix) for v in vertices):
+    while any(v.startswith(prefix) for v in adj):
         prefix += "x"
-    ids = _Ids(prefix)
-    leaf_labels: Dict[str, str] = {}
+    tree = _Tree(prefix)
+    tree.vertices.extend(adj)
+    tree.edges.extend((p, v) for v, p in _walk(adj)[1:])
     for lab in base.labels:
-        _caterpillar(ids, emap.blocks[lab], edges, leaf_labels,
-                     head=labeled[lab])
-    vertices.extend(ids.vertices)
-    return BranchDecomposition.build(vertices, edges, leaf_labels)
+        tree.caterpillar(emap.blocks[lab], head=labeled[lab])
+    return tree.build()
 
 
 # -- tangles -----------------------------------------------------------------
@@ -664,7 +654,8 @@ def verify_tangle(M: Matroid, tangle: Tangle, threads: int = 1
                        "lambda": int(lam[x]), "order": k}
     if below:
         c = tangle.members.c
-        big = c - 1 + max(popcount(a) - r for a, r in M.zee if r < c)
+        big = max((c - 1 + popcount(a) - r for a, r in M.zee if r < c),
+                  default=0)
     else:
         big = max((popcount(int(x)) for x in tangle.members), default=0)
     pair = None

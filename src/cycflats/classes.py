@@ -42,15 +42,18 @@ def _arc_constraints(M: Matroid) -> List[Tuple[int, List[int]]]:
     """Order-independent data: (flat mask, [component masks of M/F]).
 
     Components are restricted to those with >= 2 elements; flats to proper
-    connected flats with >= 2 elements.  The components of M/F are read
-    off M's own rank, r(X | F) - r(F), so no contraction is built.
-    Computing these once lets a search check many orders cheaply.
+    connected flats with >= 2 elements, which are the cyclic flats other
+    than E with a connected restriction, in the order of M.zee.  The
+    components of M/F are read off M's own rank, r(X | F) - r(F), so no
+    contraction is built.  Computing these once lets a search check many
+    orders cheaply.
     """
     if M.loops:
         raise HasLoops("positroid orders are defined for loopless matroids")
     out = []
-    for f in M.connected_flats(proper=True):
-        if popcount(f) < 2:
+    for f, _ in M.zee:
+        if (popcount(f) < 2 or f == M.ground.full
+                or len(M._components(f)) != 1):
             continue
         comps = [c for c in M._components(M.ground.full & ~f, f)
                  if popcount(c) >= 2]

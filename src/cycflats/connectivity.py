@@ -37,6 +37,7 @@ from .expansion import expand
 from .orbits import check_states, clonal_space
 
 INFINITE = None      # tau's "no k-separation exists" value
+COVER_BUDGET = 2_000_000    # hyperplane multisets that flats_cover tries
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,7 @@ def flats_cover(M: Matroid, count: int, slack: int
     hyps = M.hyperplanes()
     if not hyps:
         return None
-    if comb(len(hyps) + count - 1, count) > 2_000_000:
+    if comb(len(hyps) + count - 1, count) > COVER_BUDGET:
         raise BudgetExceeded(
             "flat-cover search over %d hyperplanes choose %d is too large"
             % (len(hyps), count))

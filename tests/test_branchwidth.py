@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -11,6 +12,7 @@ from cycflats import (
     BranchDecomposition,
     InvalidTangle,
     MalformedTree,
+    RankBelow,
     Tangle,
     branch_width_certified,
     branch_width_exact,
@@ -49,6 +51,24 @@ def test_exact_values_on_small_matroids():
     assert branch_width_exact(uniform(0, 3))[0] == 1
     assert branch_width_exact(uniform(1, 1))[0] == 1
     assert branch_width_exact(uniform(0, 0))[0] == 0
+
+
+def test_branch_width_exact_leaves_no_cyclic_garbage():
+    """Both engines, the bottom-up DP (fig1_M^2) and the tangle-first
+    decision (fig2_N^4), recurse without reference cycles, so nothing of
+    a call, its split table included, waits for the collector."""
+    from cycflats.branchwidth import TANGLE_PAIRS
+    from cycflats.orbits import clonal_space
+    dp, tangle = expand(get("fig1_M"), 2)[0], expand(get("fig2_N"), 4)[0]
+    assert clonal_space(dp).pairs <= TANGLE_PAIRS < clonal_space(tangle).pairs
+    for m in (dp, tangle):
+        gc.collect()
+        gc.disable()
+        try:
+            branch_width_exact(m)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def test_exact_decomposition_achieves_the_value():
@@ -275,6 +295,18 @@ def test_rank_bounded_tangles_on_the_nine_element_pair():
     assert ok_n and wit_n is None
     ok5, wit5 = verify_tangle(n, Tangle(5, rank_bounded_family(n, 4)))
     assert not ok5 and wit5 is not None
+
+
+def test_empty_rank_below_families_answer_as_the_empty_explicit_family():
+    # {X : r(X) < c} is empty for c <= 0: no member bounds T3, so order 1
+    # holds, and at order 2 both families leave out the empty set (T2)
+    for m in (get("fig2_N"), uniform(0, 3), uniform(2, 4)):
+        for c in (0, -1):
+            assert verify_tangle(m, Tangle(1, RankBelow(c))) == (True, None)
+            assert verify_tangle(m, Tangle(1, ())) == (True, None)
+            ok, wit = verify_tangle(m, Tangle(2, RankBelow(c)))
+            assert (ok, wit) == verify_tangle(m, Tangle(2, ()))
+            assert not ok and wit["axiom"] == "T2" and wit["set"] == []
 
 
 def test_explicit_member_tangle_and_tampering():

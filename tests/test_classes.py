@@ -135,11 +135,19 @@ def test_seven_line_design_is_not_a_positroid():
 
 def test_positroid_checks_match_the_oracle():
     # the arcs of each order are built literally over positions, and the
-    # components of M/F come from the oracle rank table of the minor
+    # components of M/F come from the oracle rank table of the minor.
+    # Two disjoint lines span a cyclic flat of rank 4 whose contraction
+    # makes the last two elements parallel; it is not connected, so it
+    # gives no constraint
     rng = random.Random(19)
-    cases = [_seven_lines()] + [_random_plane(rng) for _ in range(60)]
+    g = GroundSet([str(i) for i in range(1, 9)])
+    two_lines = validate_axioms(
+        [(0, 0), (g.mask_of("123"), 2), (g.mask_of("456"), 2),
+         (g.mask_of("123456"), 4), (g.full, 5)], g)
+    cases = [_seven_lines(), two_lines]
+    cases += [_random_plane(rng) for _ in range(60)]
     seed = 0
-    while len(cases) < 361:
+    while len(cases) < 362:
         seed += 1
         M = random_matroid(random.Random(seed), 7)
         if not M.loops:
@@ -147,6 +155,7 @@ def test_positroid_checks_match_the_oracle():
     seen = Counter()
     for M in cases:
         constraints = positroid_constraints_oracle(M)
+        assert cycflats.classes._arc_constraints(M) == constraints
         found = positroid_search(M)
         assert found == positroid_search_oracle(M)
         seen["not a positroid"] += found[0] is None

@@ -1,6 +1,9 @@
+from math import comb
+
 import pytest
 
 from cycflats import (
+    BudgetExceeded,
     expand,
     flats_cover,
     kappa_scaling_check,
@@ -128,6 +131,18 @@ def test_flats_cover_grammar():
     assert flats_cover(get("fig2_N"), 3, 0) is None
     assert flats_cover(get("fig2_N"), 3, 1) is not None
     assert flats_cover(uniform(2, 9), 3, 2) is None
+
+
+def test_flats_cover_refuses_past_its_budget(monkeypatch):
+    # three of fig2_M's hyperplanes, repeats allowed: C(h + 2, 3) tries
+    import cycflats.connectivity as conn
+    m = get("fig2_M")
+    tries = comb(len(m.hyperplanes()) + 2, 3)
+    monkeypatch.setattr(conn, "COVER_BUDGET", tries)
+    assert flats_cover(m, 3, 0) is not None
+    monkeypatch.setattr(conn, "COVER_BUDGET", tries - 1)
+    with pytest.raises(BudgetExceeded, match="too large"):
+        flats_cover(m, 3, 0)
 
 
 def test_cover_predicts_vertical_drop_under_expansion():
